@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"sort"
@@ -419,22 +420,29 @@ func submitRound(client *serve.Client, streams []tenantStream, r int64, batchSiz
 }
 
 // submitTasks drives the shared worker pool over one round's batches; every
-// batch lands before it returns, so the caller may tick.
+// batch lands before it returns, so the caller may tick. Each tenant is
+// pinned to one worker by a hash of its name, and that worker sends the
+// tenant's batches in task order: the server admits a tenant's IDs in
+// increasing order, so a later batch landing first would get the earlier
+// one answered 409 Duplicate and never admitted.
 func submitTasks(client *serve.Client, tasks []submitTask, conns int, total *result) {
-	if len(tasks) == 0 {
-		return
-	}
-	if conns > len(tasks) {
-		conns = len(tasks)
+	lanes := make([][]submitTask, conns)
+	for _, t := range tasks {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(t.tenant)) // hash.Hash writes never fail
+		w := int(h.Sum32() % uint32(conns))
+		lanes[w] = append(lanes[w], t)
 	}
 	results := make([]result, conns)
-	next := make(chan submitTask)
 	var wg sync.WaitGroup
-	wg.Add(conns)
-	for w := 0; w < conns; w++ {
-		go func(res *result) {
+	for w, lane := range lanes {
+		if len(lane) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(lane []submitTask, res *result) {
 			defer wg.Done()
-			for t := range next {
+			for _, t := range lane {
 				n := int64(len(t.jobs))
 				res.submitted += n
 				t0 := obs.Now()
@@ -454,12 +462,8 @@ func submitTasks(client *serve.Client, tasks []submitTask, conns int, total *res
 					res.refused += n
 				}
 			}
-		}(&results[w])
+		}(lane, &results[w])
 	}
-	for _, t := range tasks {
-		next <- t
-	}
-	close(next)
 	wg.Wait()
 	for i := range results {
 		total.fold(&results[i])

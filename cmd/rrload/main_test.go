@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -234,5 +235,41 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "http://127.0.0.1:1"}, &out); err == nil || !strings.Contains(err.Error(), "not healthy") {
 		t.Fatalf("unreachable server err = %v", err)
+	}
+}
+
+// TestSubmitTasksKeepsTenantBatchOrder: with two connections, every batch of
+// a tenant whose round spans several batches must be admitted. The server
+// admits a tenant's IDs in increasing order, so a later batch overtaking an
+// earlier one on the other connection would get the earlier one answered
+// 409 Duplicate and never admitted.
+func TestSubmitTasksKeepsTenantBatchOrder(t *testing.T) {
+	client := serve.NewClient(startServer(t))
+	total := &result{}
+	want := int64(0)
+	ids := map[string]int64{}
+	batch := func(tenant string, n int) submitTask {
+		jobs := make([]serve.SubmitJob, n)
+		for i := range jobs {
+			jobs[i] = serve.SubmitJob{ID: ids[tenant], Color: int32(i % 3), Delay: 8}
+			ids[tenant]++
+		}
+		want += int64(n)
+		return submitTask{tenant: tenant, jobs: jobs}
+	}
+	for r := 0; r < 8; r++ {
+		var tasks []submitTask
+		for b := 0; b < 6; b++ {
+			tasks = append(tasks, batch("burst", 32))
+			tasks = append(tasks, batch(fmt.Sprintf("steady-%d", b), 4))
+		}
+		submitTasks(client, tasks, 2, total)
+		if _, err := client.Tick(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total.submitted != want || total.accepted != want {
+		t.Fatalf("submitted %d, accepted %d of %d jobs (rejected %d, refused %d)",
+			total.submitted, total.accepted, want, total.rejected, total.refused)
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rrsched/internal/model"
 )
@@ -45,12 +45,13 @@ func (t *Tracker) Checkpoint() (*TrackerCheckpoint, error) {
 		EligibleDrops:   t.eligibleDrops,
 		IneligibleDrops: t.ineligibleDrops,
 	}
-	for c, cs := range t.states {
+	for _, c := range t.order {
+		cs := t.states[c]
 		cc := ColorCheckpoint{
 			Color:    c,
 			Delay:    cs.delay,
 			Cnt:      cs.cnt,
-			Deadline: cs.dd,
+			Deadline: t.deadline(cs),
 			Eligible: cs.eligible,
 			Seen:     cs.seen,
 		}
@@ -59,7 +60,6 @@ func (t *Tracker) Checkpoint() (*TrackerCheckpoint, error) {
 		}
 		cp.Colors = append(cp.Colors, cc)
 	}
-	sort.Slice(cp.Colors, func(i, j int) bool { return cp.Colors[i].Color < cp.Colors[j].Color })
 	return cp, nil
 }
 
@@ -115,6 +115,13 @@ func RestoreTracker(cp *TrackerCheckpoint) (*Tracker, error) {
 			wraps:    append([]int64(nil), cc.Wraps...),
 			seen:     cc.Seen,
 		}
+		if cc.Eligible {
+			t.eligible = append(t.eligible, cc.Color)
+		}
+		if cc.Seen {
+			t.seenColors++
+		}
 	}
+	slices.Sort(t.eligible)
 	return t, nil
 }

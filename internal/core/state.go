@@ -20,10 +20,15 @@ import (
 // counter-wrapping rounds (enough to answer timestamp queries; the ΔLRU
 // timestamp is the latest wrap strictly before the most recent multiple of
 // D_ℓ, and the ΔLRU-K generalization uses the K-th latest).
+//
+// dd is stored as of arrival round ddRound and advanced lazily by
+// Tracker.deadline: a color the arrival phase does not visit changes only
+// its deadline, and that change is a function of the round.
 type colorState struct {
 	delay    int64
 	cnt      int64
 	dd       int64
+	ddRound  int64 // the arrival round dd was last materialized at
 	eligible bool
 	wraps    []int64 // wrap rounds, most recent last (bounded by the tracker's depth)
 	seen     bool    // a job of this color has arrived (epoch 0 started)
@@ -71,13 +76,28 @@ func (cs *colorState) timestamp(now int64) int64 { return cs.timestampK(now, 1) 
 // Tracker maintains the shared per-color state for the Section 3 policies
 // and the epoch / drop-classification accounting used by the analysis
 // (epochs per Section 3.2, eligible vs ineligible drops per Lemma 3.2/3.4).
+//
+// A round costs O(eligible + arriving) colors, not O(registered): the drop
+// phase can only end the epochs of eligible colors, so it walks the
+// ascending eligible set; the arrival phase can only change the counter,
+// eligibility and timestamps of colors with arrivals (an ineligible color's
+// counter stays below Δ without them), so it walks those; and the one field
+// every color at its multiple changes, ℓ.dd, is derived on read from the
+// last arrival round (see deadline).
 type Tracker struct {
-	delta  int64
-	states map[model.Color]*colorState
-	order  []model.Color // registered colors in ascending order
-	tsK    int           // timestamp depth K (1 = the paper's ΔLRU)
+	delta    int64
+	states   map[model.Color]*colorState
+	order    []model.Color // registered colors in ascending order
+	eligible []model.Color // eligible colors in ascending order
+	tsK      int           // timestamp depth K (1 = the paper's ΔLRU)
+
+	// last is the round of the latest ArrivalPhase; synced is false until
+	// the first one after construction or restore.
+	last   int64
+	synced bool
 
 	completedEpochs int64
+	seenColors      int64 // colors whose epoch 0 has started
 	eligibleDrops   int64
 	ineligibleDrops int64
 
@@ -94,13 +114,19 @@ type Tracker struct {
 	// path allocates nothing. Slices returned from the helpers below alias
 	// these buffers and are valid only until the next tracker call.
 	countScratch map[model.Color]int64
-	eligScratch  []model.Color
+	arrScratch   []model.Color
+	addScratch   []model.Color
+	mergeScratch []model.Color
 	lruScratch   []model.Color
 	protScratch  map[model.Color]bool
 	cacheScratch map[model.Color]bool
 	setScratch   []model.Color
 	candScratch  []model.Color
 }
+
+// scratchMapReuse is the largest per-round scratch map that is cleared and
+// reused; a larger one is replaced by a fresh map.
+const scratchMapReuse = 64
 
 // NewTracker returns a Tracker for the given environment. The core policies
 // require batched arrivals (jobs of color ℓ arrive at integral multiples of
@@ -168,7 +194,7 @@ func (t *Tracker) Register(c model.Color, delay int64) {
 		}
 		return
 	}
-	t.states[c] = &colorState{delay: delay}
+	t.states[c] = &colorState{delay: delay, ddRound: t.last}
 	i, _ := slices.BinarySearch(t.order, c)
 	t.order = slices.Insert(t.order, i, c)
 }
@@ -198,7 +224,38 @@ func (t *Tracker) Deadline(c model.Color) int64 {
 	if cs == nil {
 		return 0
 	}
+	return t.deadline(cs)
+}
+
+// deadline returns ℓ.dd as of the latest arrival phase. The phase sets
+// ℓ.dd = k + D_ℓ at every multiple k of D_ℓ whether or not ℓ has arrivals,
+// so once a multiple of D_ℓ has passed since the stored value was
+// materialized, the latest such multiple k = ⌊last/D_ℓ⌋·D_ℓ determines it. A
+// color registered after round last keeps its initial 0 until its first
+// multiple, as in the paper's state machine.
+func (t *Tracker) deadline(cs *colorState) int64 {
+	if t.synced {
+		if k := t.last / cs.delay * cs.delay; k > cs.ddRound {
+			return k + cs.delay
+		}
+	}
 	return cs.dd
+}
+
+// sync moves the lazy-deadline clock to arrival round k. Deriving ℓ.dd from
+// the last round assumes the arrival phase ran in every round since each
+// stored deadline was materialized, which holds whenever k follows the
+// previous round. The first phase after construction or restore, and any
+// phase that repeats, skips or rewinds rounds, first materializes every
+// color's deadline (an O(colors) pass that the engine and the streaming
+// scheduler pay once per run or restore).
+func (t *Tracker) sync(k int64) {
+	if !t.synced || k != t.last+1 {
+		for _, cs := range t.states {
+			cs.dd, cs.ddRound = t.deadline(cs), k-1
+		}
+	}
+	t.last, t.synced = k, true
 }
 
 // Timestamp returns the ΔLRU timestamp of color c at round now.
@@ -215,13 +272,7 @@ func (t *Tracker) Timestamp(c model.Color, now int64) int64 {
 // (Section 3.2: an epoch of ℓ ends the moment ℓ becomes ineligible; colors
 // start ineligible and epoch 0 starts with the color's first job).
 func (t *Tracker) NumEpochs() int64 {
-	n := t.completedEpochs
-	for _, cs := range t.states {
-		if cs.seen {
-			n++ // the current (possibly incomplete) epoch
-		}
-	}
-	return n
+	return t.completedEpochs + t.seenColors // plus each current (possibly incomplete) epoch
 }
 
 // EligibleDrops returns the drop cost incurred on eligible jobs (jobs
@@ -234,7 +285,8 @@ func (t *Tracker) IneligibleDrops() int64 { return t.ineligibleDrops }
 // DropPhase performs the Section 3.1 drop-phase bookkeeping for round k:
 // classify this round's drops by the (pre-transition) eligibility of their
 // color, then, for every color ℓ with k ≡ 0 (mod D_ℓ) that is eligible and
-// not cached, make ℓ ineligible and zero its counter, ending its epoch.
+// not cached, make ℓ ineligible and zero its counter, ending its epoch. Only
+// the eligible set is walked, in ascending order, and compacted in place.
 func (t *Tracker) DropPhase(v sim.View, dropped map[model.Color]int) {
 	for c, n := range dropped {
 		cs := t.states[c]
@@ -248,75 +300,114 @@ func (t *Tracker) DropPhase(v sim.View, dropped map[model.Color]int) {
 		}
 	}
 	k := v.Round()
-	for _, c := range t.order {
+	kept := t.eligible[:0]
+	for _, c := range t.eligible {
 		cs := t.states[c]
-		if k%cs.delay != 0 {
+		if k%cs.delay != 0 || v.Cached(c) {
+			kept = append(kept, c)
 			continue
 		}
-		if cs.eligible && !v.Cached(c) {
-			cs.eligible = false
-			cs.cnt = 0
-			t.completedEpochs++
-			if t.super != nil {
-				// The epoch of c ends here and its successor begins
-				// immediately (Section 3.2).
-				t.super.onEpochStart(c)
-			}
-			if t.sink != nil {
-				t.sink.Emit(obs.Event{Kind: obs.EventEpochEnd, Round: k, Color: c, Resource: -1, N: t.completedEpochs})
-			}
+		cs.eligible = false
+		cs.cnt = 0
+		t.completedEpochs++
+		if t.super != nil {
+			// The epoch of c ends here and its successor begins
+			// immediately (Section 3.2).
+			t.super.onEpochStart(c)
+		}
+		if t.sink != nil {
+			t.sink.Emit(obs.Event{Kind: obs.EventEpochEnd, Round: k, Color: c, Resource: -1, N: t.completedEpochs})
 		}
 	}
+	t.eligible = kept
 }
 
 // ArrivalPhase performs the Section 3.1 arrival-phase bookkeeping for round
 // k: for every color ℓ with k ≡ 0 (mod D_ℓ), advance its deadline to k+D_ℓ,
 // add this round's arrivals to its counter, and on reaching Δ wrap the
 // counter (recording the wrap round) and make the color eligible.
+//
+// A color without arrivals keeps its counter below Δ, so only the colors
+// with arrivals at their multiple are visited, in ascending order (the order
+// of the EventEligible emissions); every other deadline advances lazily. The
+// colors that became eligible are merged into the eligible set in one pass.
 func (t *Tracker) ArrivalPhase(v sim.View, arrivals []model.Job) {
+	// Clearing or ranging over a map costs its capacity, not its length, so
+	// after a round with many arriving colors (a burst) start afresh rather
+	// than drag the grown map through every later round.
 	counts := t.countScratch
-	clear(counts)
+	if len(counts) > scratchMapReuse {
+		counts = make(map[model.Color]int64)
+		t.countScratch = counts
+	} else {
+		clear(counts)
+	}
 	for _, j := range arrivals {
 		counts[j.Color]++
 	}
 	k := v.Round()
+	t.sync(k)
 	t.observeArrivalForSuperEpochs(v, k)
-	for _, c := range t.order {
+	arriving := t.arrScratch[:0]
+	for c := range counts {
+		if cs := t.states[c]; cs != nil && k%cs.delay == 0 {
+			arriving = append(arriving, c)
+		}
+	}
+	slices.Sort(arriving)
+	t.arrScratch = arriving
+	added := t.addScratch[:0]
+	for _, c := range arriving {
 		cs := t.states[c]
-		if k%cs.delay != 0 {
-			continue
+		if !cs.seen {
+			cs.seen = true
+			t.seenColors++
 		}
-		cs.dd = k + cs.delay
-		if n := counts[c]; n > 0 {
-			if !cs.seen {
-				cs.seen = true
-			}
-			cs.cnt += n
-		}
+		cs.cnt += counts[c]
 		if cs.cnt >= t.delta {
 			cs.cnt %= t.delta
 			cs.wrap(k, t.tsK+1)
-			cs.eligible = true
+			if !cs.eligible {
+				cs.eligible = true
+				added = append(added, c)
+			}
 			if t.sink != nil {
 				t.sink.Emit(obs.Event{Kind: obs.EventEligible, Round: k, Color: c, Resource: -1, N: t.delta})
 			}
 		}
 	}
+	t.addScratch = added
+	t.mergeEligible(added)
+}
+
+// mergeEligible merges ascending colors, none of them already eligible, into
+// the ascending eligible set in a single O(eligible + added) pass, swapping
+// the set with its scratch buffer.
+func (t *Tracker) mergeEligible(added []model.Color) {
+	if len(added) == 0 {
+		return
+	}
+	old := t.eligible
+	out := t.mergeScratch[:0]
+	i, j := 0, 0
+	for i < len(old) && j < len(added) {
+		if old[i] < added[j] {
+			out = append(out, old[i])
+			i++
+		} else {
+			out = append(out, added[j])
+			j++
+		}
+	}
+	out = append(out, old[i:]...)
+	out = append(out, added[j:]...)
+	t.eligible, t.mergeScratch = out, old[:0]
 }
 
 // eligibleColors returns the eligible colors in ascending color order (the
-// paper's "consistent order of colors"). The returned slice aliases tracker
-// scratch: it is valid only until the next eligibleColors call.
-func (t *Tracker) eligibleColors() []model.Color {
-	out := t.eligScratch[:0]
-	for _, c := range t.order {
-		if t.states[c].eligible {
-			out = append(out, c)
-		}
-	}
-	t.eligScratch = out
-	return out
-}
+// paper's "consistent order of colors"). The returned slice aliases the
+// tracker's eligible set: it is valid only until the next phase call.
+func (t *Tracker) eligibleColors() []model.Color { return t.eligible }
 
 // topByTimestamp returns the (at most q) eligible colors with the most
 // recent timestamps at round now, ties broken by the consistent color order.
@@ -385,8 +476,8 @@ func (t *Tracker) rankEDF(v sim.View, colors []model.Color) []model.Color {
 func (t *Tracker) sortEDF(v sim.View, colors []model.Color) {
 	slices.SortFunc(colors, func(a, b model.Color) int {
 		ca, cb := t.states[a], t.states[b]
-		ka := edfRank{idle: v.Pending(a) == 0, dd: ca.dd, delay: ca.delay, color: a}
-		kb := edfRank{idle: v.Pending(b) == 0, dd: cb.dd, delay: cb.delay, color: b}
+		ka := edfRank{idle: v.Pending(a) == 0, dd: t.deadline(ca), delay: ca.delay, color: a}
+		kb := edfRank{idle: v.Pending(b) == 0, dd: t.deadline(cb), delay: cb.delay, color: b}
 		if ka.less(kb) {
 			return -1
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"rrsched/internal/model"
@@ -255,10 +256,24 @@ func TestRankEDFOrdering(t *testing.T) {
 	}
 }
 
+// setEligible flips a color's eligibility bit and keeps the tracker's
+// ascending eligible set consistent with it, for tests that stage state
+// directly instead of driving the phases.
+func setEligible(tr *Tracker, c model.Color, on bool) {
+	tr.states[c].eligible = on
+	i, found := slices.BinarySearch(tr.eligible, c)
+	switch {
+	case on && !found:
+		tr.eligible = slices.Insert(tr.eligible, i, c)
+	case !on && found:
+		tr.eligible = slices.Delete(tr.eligible, i, i+1)
+	}
+}
+
 func TestTopByTimestamp(t *testing.T) {
 	tr, _ := trackerEnv(t, 1)
-	tr.states[0].eligible = true
-	tr.states[1].eligible = true
+	setEligible(tr, 0, true)
+	setEligible(tr, 1, true)
 	tr.states[0].wrap(4, 2)
 	tr.states[1].wrap(6, 2)
 	// At round 8: ts(0) = 4 (multiple of 4 is 8); ts(1) = 6 (multiple of 2 is 8).
@@ -272,7 +287,7 @@ func TestTopByTimestamp(t *testing.T) {
 		t.Errorf("top = %v, want both colors", top)
 	}
 	// Ineligible colors never appear.
-	tr.states[1].eligible = false
+	setEligible(tr, 1, false)
 	top = tr.topByTimestamp(8, 2)
 	if len(top) != 1 || top[0] != 0 {
 		t.Errorf("top = %v, want only color 0", top)

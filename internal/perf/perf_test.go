@@ -141,3 +141,31 @@ func TestMeasureQuickAllScenarios(t *testing.T) {
 		}
 	}
 }
+
+// TestAfterBurstPushWithin2xOfNoBurst asserts that a streaming tenant's
+// round cost follows its active colours: 64 rounds after a 20,000-job
+// single-colour burst, whose 2,500 Distribute subcolours stay registered,
+// Push must cost at most twice what the same tenant pays without the burst.
+// A scheduler that scans every subcolour each round is tens of times
+// slower here. -short skips the two 1-second measurements.
+func TestAfterBurstPushWithin2xOfNoBurst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two benchmark measurements; skipped under -short")
+	}
+	burst, err := Measure(mustScenario(t, "stream/after-burst"))
+	if err != nil {
+		t.Fatalf("measuring after-burst: %v", err)
+	}
+	quiet, err := Measure(afterBurstScenario("stream/no-burst", 0))
+	if err != nil {
+		t.Fatalf("measuring no-burst: %v", err)
+	}
+	if burst.NsPerRound <= 0 || quiet.NsPerRound <= 0 {
+		t.Fatalf("non-positive figures: after-burst=%v no-burst=%v", burst.NsPerRound, quiet.NsPerRound)
+	}
+	ratio := burst.NsPerRound / quiet.NsPerRound
+	t.Logf("after-burst %.1f ns/round, no-burst %.1f ns/round: %.2fx", burst.NsPerRound, quiet.NsPerRound, ratio)
+	if ratio > 2 {
+		t.Fatalf("Push after a burst costs %.2fx the no-burst round, want <= 2x", ratio)
+	}
+}

@@ -28,7 +28,8 @@ type Scenario struct {
 // Scenarios returns the fixed benchmark matrix, in report order: the engine
 // round loop and the ΔLRU-EDF decision path at n ∈ {8, 64, 512} over
 // short/long-delay color mixes, the queue primitives, the streaming
-// scheduler's push loop and checkpoint round-trip, the sweep fan-out
+// scheduler's push loop (fresh and 64 rounds after a burst) and checkpoint
+// round-trip, the sweep fan-out
 // substrate (pinned to one worker so the figure is dispatch overhead, not
 // parallel speedup), the incremental checkpoint store (full vs delta cuts at
 // a dirty fraction, fault-in chain resolution, manifest codec), and the
@@ -46,6 +47,7 @@ func Scenarios() []Scenario {
 		ringScenario(),
 		bucketScenario(),
 		streamPushScenario(),
+		afterBurstScenario("stream/after-burst", afterBurstJobs),
 		streamCheckpointScenario(),
 		sweepScenario(),
 	}
@@ -312,6 +314,66 @@ func streamPushScenario() Scenario {
 				}
 				_, err = s.Drain()
 				return err
+			}, nil
+		},
+	}
+}
+
+// afterBurstJobs is the size of the stream/after-burst scenario's burst;
+// afterBurstRounds is its op length and the setup's quiet stretch after the
+// burst.
+const (
+	afterBurstJobs   = 20000
+	afterBurstRounds = 64
+)
+
+// afterBurstScenario measures the steady per-round Push cost of a tenant
+// that once sent burstJobs jobs of one colour. The burst splits into
+// burstJobs/8 Distribute subcolours that stay registered after it drains, so
+// this row shows whether a round's cost follows the active colours or every
+// colour ever seen. Setup pushes the burst (round 0, delay 16) and the 64
+// quiet rounds after it; each op pushes the next 64 rounds of the
+// stream/push traffic. burstJobs = 0 is the same tenant without the burst.
+func afterBurstScenario(name string, burstJobs int) Scenario {
+	return Scenario{
+		Name:   name,
+		Doc:    fmt.Sprintf("streaming Push per round, 64 rounds after a %d-job single-colour burst", burstJobs),
+		Rounds: afterBurstRounds,
+		Setup: func() (func() error, error) {
+			s, err := stream.New(stream.Config{Delta: 16, Resources: 8})
+			if err != nil {
+				return nil, err
+			}
+			id := int64(0)
+			var jobs []model.Job
+			push := func(r int64, burst int) error {
+				jobs = jobs[:0]
+				for j := 0; j < 2; j++ {
+					jobs = append(jobs, model.Job{ID: id, Color: model.Color(r % 8), Arrival: r, Delay: 8})
+					id++
+				}
+				for j := 0; j < burst; j++ {
+					jobs = append(jobs, model.Job{ID: id, Color: 8, Arrival: r, Delay: 16})
+					id++
+				}
+				_, err := s.Push(r, jobs)
+				return err
+			}
+			if err := push(0, burstJobs); err != nil {
+				return nil, err
+			}
+			for r := int64(1); r <= afterBurstRounds; r++ {
+				if err := push(r, 0); err != nil {
+					return nil, err
+				}
+			}
+			return func() error {
+				for i := 0; i < afterBurstRounds; i++ {
+					if err := push(s.Round(), 0); err != nil {
+						return err
+					}
+				}
+				return nil
 			}, nil
 		},
 	}

@@ -149,13 +149,11 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 		cp.Inner.Subcolors = append(cp.Inner.Subcolors, subcolorCP{Outer: k.outer, Bucket: k.j, Inner: ic})
 	}
 	sort.Slice(cp.Inner.Subcolors, func(i, j int) bool { return cp.Inner.Subcolors[i].Inner < cp.Inner.Subcolors[j].Inner })
-	for c, q := range st.pending {
-		if q.Len() == 0 {
-			continue
+	for c := range st.pending {
+		if q := &st.pending[c]; q.Len() > 0 {
+			cp.Inner.Pending = append(cp.Inner.Pending, innerPendingCP{Color: model.Color(c), Deadlines: q.Items()})
 		}
-		cp.Inner.Pending = append(cp.Inner.Pending, innerPendingCP{Color: c, Deadlines: q.Items()})
 	}
-	sort.Slice(cp.Inner.Pending, func(i, j int) bool { return cp.Inner.Pending[i].Color < cp.Inner.Pending[j].Color })
 	for c, locs := range st.colorLocs {
 		cp.Inner.ColorLocs = append(cp.Inner.ColorLocs, colorLocsCP{Color: c, Locs: locs})
 	}
@@ -251,15 +249,28 @@ func Restore(data []byte) (*Scheduler, error) {
 	if len(st.inner) != len(st.toOuter) {
 		return nil, fmt.Errorf("stream: checkpoint has %d subcolor keys for %d inner colors", len(st.inner), len(st.toOuter))
 	}
+	st.pending = make([]queue.Ring[int64], len(st.toOuter))
+	st.lastDue = make([]int64, len(st.toOuter))
+	for i := range st.lastDue {
+		st.lastDue[i] = -1
+	}
+	for loc, c := range st.locColor {
+		if c != model.Black && (c < 0 || int(c) >= len(st.toOuter)) {
+			return nil, fmt.Errorf("stream: checkpoint colors inner location %d with unknown inner color %v", loc, c)
+		}
+	}
+	seenPending := make([]bool, len(st.toOuter))
 	for _, p := range cp.Inner.Pending {
-		if _, ok := st.pending[p.Color]; ok {
+		if p.Color < 0 || int(p.Color) >= len(st.toOuter) {
+			return nil, fmt.Errorf("stream: checkpoint has pending jobs for unknown inner color %v", p.Color)
+		}
+		if seenPending[p.Color] {
 			return nil, fmt.Errorf("stream: checkpoint repeats inner pending color %v", p.Color)
 		}
-		q := &queue.Ring[int64]{}
+		seenPending[p.Color] = true
 		for _, d := range p.Deadlines {
-			q.Push(d)
+			st.enqueue(p.Color, d, cp.Round)
 		}
-		st.pending[p.Color] = q
 	}
 	seenLoc := make([]bool, cp.Resources)
 	for _, cl := range cp.Inner.ColorLocs {

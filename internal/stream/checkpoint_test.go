@@ -284,3 +284,86 @@ func TestPushRejectsDuplicateAndLateJobs(t *testing.T) {
 		t.Errorf("late push accepted: %v", err)
 	}
 }
+
+// TestRestoreRejectsUnknownInnerColors: inner colors are dense indices into
+// the subcolor table, so pending jobs or a location naming a color outside
+// it, or a color's pending jobs listed twice, are corruption.
+func TestRestoreRejectsUnknownInnerColors(t *testing.T) {
+	s, err := New(Config{Delta: 2, Resources: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Delay 1 releases at once, creating inner color 0.
+	if _, err := s.Push(0, []model.Job{{ID: 0, Color: 0, Arrival: 0, Delay: 1}, {ID: 1, Color: 0, Arrival: 0, Delay: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(mutate func(inner map[string]any)) []byte {
+		var m map[string]any
+		if err := json.Unmarshal(snap, &m); err != nil {
+			t.Fatal(err)
+		}
+		mutate(m["inner"].(map[string]any))
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	pending := func(c float64) map[string]any { return map[string]any{"color": c, "deadlines": []any{8.0}} }
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"pending color", corrupt(func(in map[string]any) { in["pending"] = []any{pending(5)} }), "unknown inner color"},
+		{"repeated pending", corrupt(func(in map[string]any) { in["pending"] = []any{pending(0), pending(0)} }), "repeats inner pending"},
+		{"location color", corrupt(func(in map[string]any) { in["loc_color"] = []any{7.0, -1.0, -1.0, -1.0} }), "unknown inner color"},
+	}
+	for _, c := range cases {
+		if _, err := Restore(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Restore = %v, want mention of %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestRestoredPastDeadlinesDropFirstRound: an inner deadline a checkpoint
+// carries from before its round is dropped in the first round after
+// restore, as a scan of every queue would.
+func TestRestoredPastDeadlinesDropFirstRound(t *testing.T) {
+	s, err := New(Config{Delta: 2, Resources: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The job is released at round 4 as inner color 0.
+	if _, err := s.Push(0, []model.Job{{ID: 0, Color: 0, Arrival: 0, Delay: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Push(4, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(snap, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["inner"].(map[string]any)["pending"] = []any{map[string]any{"color": 0.0, "deadlines": []any{1.0, 3.0, 9.0}}}
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.inner.round(5, nil)
+	if q := &restored.inner.pending[0]; q.Len() > 1 || (q.Len() == 1 && q.Peek() != 9) {
+		t.Fatalf("inner queue after the first round holds %v, want at most the deadline-9 job", q.Items())
+	}
+}

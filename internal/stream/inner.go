@@ -20,14 +20,29 @@ type innerState struct {
 
 	tracker *core.Tracker
 
-	// Subcolor mapping, built lazily as batches arrive.
+	// Subcolor mapping, built lazily as batches arrive. Inner colors are
+	// dense: inner color i is toOuter's index i.
 	toOuter []model.Color
 	inner   map[subKey]model.Color
 
-	pending   map[model.Color]*queue.Ring[int64] // inner color -> deadlines
+	pending   []queue.Ring[int64] // deadlines, by inner color
 	locColor  []model.Color
 	colorLocs map[model.Color][]int
 	freeLocs  []int
+
+	// Deadline index for the drop phase: due[k] lists the inner colors that
+	// were given a job with deadline k, so the drop phase of round k visits
+	// those colors instead of every subcolor ever created. lastDue[c] is
+	// the highest deadline indexed for c; a color's deadlines are
+	// nondecreasing (arrival round plus a fixed delay), so one entry per
+	// distinct (color, deadline) suffices. duePool recycles bucket slices.
+	due     map[int64][]model.Color
+	lastDue []int64
+	duePool [][]model.Color
+
+	// Per-round scratch maps, reused across rounds.
+	dropped map[model.Color]int
+	rank    map[model.Color]int64
 
 	now int64
 }
@@ -43,8 +58,10 @@ func newInnerState(cfg Config) *innerState {
 		n:         cfg.Resources,
 		tracker:   core.NewDynamicTracker(cfg.Delta),
 		inner:     map[subKey]model.Color{},
-		pending:   map[model.Color]*queue.Ring[int64]{},
 		colorLocs: map[model.Color][]int{},
+		due:       map[int64][]model.Color{},
+		dropped:   map[model.Color]int{},
+		rank:      map[model.Color]int64{},
 	}
 	st.locColor = make([]model.Color, cfg.Resources)
 	st.freeLocs = make([]int, cfg.Resources)
@@ -70,8 +87,57 @@ func (st *innerState) subcolor(outer model.Color, j, h int64) model.Color {
 	ic := model.Color(len(st.toOuter))
 	st.inner[k] = ic
 	st.toOuter = append(st.toOuter, outer)
+	st.pending = append(st.pending, queue.Ring[int64]{})
+	st.lastDue = append(st.lastDue, -1)
 	st.tracker.Register(ic, h)
 	return ic
+}
+
+// enqueue adds an inner job of color ic with deadline d, indexing the
+// deadline for the drop phase. Keys below floor (a restored deadline that
+// already passed) are indexed at floor, the first round still to run, where
+// the full scan would have dropped them.
+func (st *innerState) enqueue(ic model.Color, d, floor int64) {
+	st.pending[ic].Push(d)
+	key := max(d, floor)
+	if key <= st.lastDue[ic] {
+		return
+	}
+	st.lastDue[ic] = key
+	bucket, ok := st.due[key]
+	if !ok && len(st.duePool) > 0 {
+		bucket = st.duePool[len(st.duePool)-1]
+		st.duePool = st.duePool[:len(st.duePool)-1]
+	}
+	st.due[key] = append(bucket, ic)
+}
+
+// dropDue pops every pending inner job whose deadline has come by round r
+// from the colors indexed at r, returning the per-color counts (scratch,
+// valid until the next round).
+func (st *innerState) dropDue(r int64) map[model.Color]int {
+	// Clearing a map costs its capacity: after a round that dropped many
+	// colors (a burst), start afresh rather than clear the grown map in
+	// every later round.
+	if len(st.dropped) > 64 {
+		st.dropped = map[model.Color]int{}
+	} else {
+		clear(st.dropped)
+	}
+	bucket, ok := st.due[r]
+	if !ok {
+		return st.dropped
+	}
+	for _, ic := range bucket {
+		q := &st.pending[ic]
+		for q.Len() > 0 && q.Peek() <= r {
+			q.Pop()
+			st.dropped[ic]++
+		}
+	}
+	delete(st.due, r)
+	st.duePool = append(st.duePool, bucket[:0])
+	return st.dropped
 }
 
 // round advances the inner simulation one round: drop, arrival (the released
@@ -81,15 +147,8 @@ func (st *innerState) subcolor(outer model.Color, j, h int64) model.Color {
 func (st *innerState) round(r int64, released []model.Job) []model.Color {
 	st.now = r
 
-	// Drop phase.
-	dropped := map[model.Color]int{}
-	for ic, q := range st.pending {
-		for q.Len() > 0 && q.Peek() <= r {
-			q.Pop()
-			dropped[ic]++
-		}
-	}
-	st.tracker.DropPhase(st.view(), dropped)
+	// Drop phase, guided by the deadline index.
+	st.tracker.DropPhase(st.view(), st.dropDue(r))
 
 	// Arrival phase: split the release batch into subcolors with at most h
 	// jobs each (h is the inner delay bound of the outer color). Jobs are
@@ -98,17 +157,13 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 	// streaming inner instance is identical to the batch pipeline's,
 	// including the "consistent order of colors" tie-breaks.
 	var arrivals []model.Job
-	rank := map[model.Color]int64{}
+	rank := st.rank
+	clear(rank)
 	for _, j := range released {
 		h := reduce.BatchedDelay(j.Delay)
 		ic := st.subcolor(j.Color, rank[j.Color]/h, h)
 		rank[j.Color]++
-		q := st.pending[ic]
-		if q == nil {
-			q = &queue.Ring[int64]{}
-			st.pending[ic] = q
-		}
-		q.Push(r + h)
+		st.enqueue(ic, r+h, r)
 		arrivals = append(arrivals, model.Job{Color: ic, Arrival: r, Delay: h})
 	}
 	st.tracker.ArrivalPhase(st.view(), arrivals)
@@ -124,8 +179,7 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 		if c == model.Black {
 			continue
 		}
-		q := st.pending[c]
-		if q != nil && q.Len() > 0 {
+		if q := &st.pending[c]; q.Len() > 0 {
 			q.Pop()
 		}
 	}
@@ -191,11 +245,10 @@ func (v *innerView) Resources() int { return v.st.n }
 func (v *innerView) Slots() int     { return v.st.n / 2 }
 func (v *innerView) Delta() int64   { return v.st.delta }
 func (v *innerView) Pending(c model.Color) int {
-	q := v.st.pending[c]
-	if q == nil {
+	if c < 0 || int(c) >= len(v.st.pending) {
 		return 0
 	}
-	return q.Len()
+	return v.st.pending[c].Len()
 }
 func (v *innerView) Cached(c model.Color) bool {
 	_, ok := v.st.colorLocs[c]
