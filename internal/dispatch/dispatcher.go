@@ -372,7 +372,9 @@ var errStaleEpoch = fmt.Errorf("dispatch: stale lease epoch")
 
 // storeCheckpoint accepts a checkpoint push: the freshest state of one shard,
 // fenced by lease epoch. A final push on a revoking lease completes the
-// graceful handoff and frees the shard for regranting.
+// graceful handoff and frees the shard for regranting. An accepted push's
+// Data (or its flattened bundle) becomes the stored checkpoint without a
+// copy; see CheckpointPush.Data.
 func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -400,7 +402,7 @@ func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 		}
 		data = flat
 	}
-	l.checkpoint = append([]byte(nil), data...)
+	l.checkpoint = data
 	l.round = req.Round
 	d.met.Checkpoints.Inc()
 	d.met.CheckpointBytes.Observe(int64(len(req.Data)))

@@ -147,13 +147,17 @@ type HeartbeatResponse struct {
 // set, when closing a revoked shard). Epoch fences the push: the dispatcher
 // rejects epochs older than the shard's current lease with 409.
 type CheckpointPush struct {
-	Schema string          `json:"schema"`
-	Worker string          `json:"worker"`
-	Shard  int             `json:"shard"`
-	Epoch  int64           `json:"epoch"`
-	Round  int64           `json:"round"`
-	Final  bool            `json:"final,omitempty"`
-	Data   json.RawMessage `json:"data"`
+	Schema string `json:"schema"`
+	Worker string `json:"worker"`
+	Shard  int    `json:"shard"`
+	Epoch  int64  `json:"epoch"`
+	Round  int64  `json:"round"`
+	Final  bool   `json:"final,omitempty"`
+	// Data is the shard's state image. Both decoders return it in a buffer
+	// of its own, never aliasing the request body, and the dispatcher keeps
+	// an accepted push's Data as the stored checkpoint without copying: once
+	// pushed, Data belongs to the dispatcher and must not be modified.
+	Data json.RawMessage `json:"data"`
 }
 
 // PlacementEntry is one row of the placement table: which worker currently
@@ -322,7 +326,8 @@ func DecodeCheckpointPushBinary(data []byte) (*CheckpointPush, error) {
 		Epoch:  f.Epoch,
 		Round:  f.Round,
 		Final:  f.Final,
-		// Copy: the frame's Data aliases the request body buffer.
+		// The one copy of the state image: the frame's Data aliases the
+		// request body buffer, and the dispatcher stores this slice as is.
 		Data: json.RawMessage(append([]byte(nil), f.Data...)),
 	}
 	if err := validateCheckpointPush(req); err != nil {

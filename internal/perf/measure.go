@@ -16,6 +16,7 @@ func Measure(s Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("perf: scenario %s setup: %w", s.Name, err)
 	}
+	ckptBytes := s.checkpointBytes()
 	var opErr error
 	br := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -31,12 +32,13 @@ func Measure(s Scenario) (Result, error) {
 	}
 	rounds := float64(s.Rounds)
 	return Result{
-		Name:           s.Name,
-		Iterations:     br.N,
-		RoundsPerOp:    s.Rounds,
-		NsPerRound:     float64(br.NsPerOp()) / rounds,
-		AllocsPerRound: float64(br.AllocsPerOp()) / rounds,
-		BytesPerRound:  float64(br.AllocedBytesPerOp()) / rounds,
+		Name:            s.Name,
+		Iterations:      br.N,
+		RoundsPerOp:     s.Rounds,
+		NsPerRound:      float64(br.NsPerOp()) / rounds,
+		AllocsPerRound:  float64(br.AllocsPerOp()) / rounds,
+		BytesPerRound:   float64(br.AllocedBytesPerOp()) / rounds,
+		CheckpointBytes: ckptBytes,
 	}, nil
 }
 
@@ -49,6 +51,7 @@ func MeasureQuick(s Scenario) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("perf: scenario %s setup: %w", s.Name, err)
 	}
+	ckptBytes := s.checkpointBytes()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	//lint:ignore determinism benchmark harness: wall-clock timing is the measurement itself, never an input to scheduling decisions
@@ -62,12 +65,13 @@ func MeasureQuick(s Scenario) (Result, error) {
 	}
 	rounds := float64(s.Rounds)
 	return Result{
-		Name:           s.Name,
-		Iterations:     1,
-		RoundsPerOp:    s.Rounds,
-		Quick:          true,
-		NsPerRound:     float64(elapsed.Nanoseconds()) / rounds,
-		AllocsPerRound: float64(after.Mallocs-before.Mallocs) / rounds,
-		BytesPerRound:  float64(after.TotalAlloc-before.TotalAlloc) / rounds,
+		Name:            s.Name,
+		Iterations:      1,
+		RoundsPerOp:     s.Rounds,
+		Quick:           true,
+		NsPerRound:      float64(elapsed.Nanoseconds()) / rounds,
+		AllocsPerRound:  float64(after.Mallocs-before.Mallocs) / rounds,
+		BytesPerRound:   float64(after.TotalAlloc-before.TotalAlloc) / rounds,
+		CheckpointBytes: ckptBytes,
 	}, nil
 }

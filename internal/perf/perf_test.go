@@ -75,6 +75,18 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
+func TestCompareFlagsCheckpointBytes(t *testing.T) {
+	grown, same := res("grown", 100, 10, 1000), res("same", 100, 10, 1000)
+	grown.CheckpointBytes, same.CheckpointBytes = 1000, 1000
+	base := sampleReport(grown, same, res("none", 100, 10, 1000))
+	grown.CheckpointBytes = 1300
+	cur := sampleReport(grown, same, res("none", 100, 10, 1000))
+	regs := Compare(base, cur, 0.25)
+	if len(regs) != 1 || regs[0].Scenario != "grown" || regs[0].Metric != "checkpoint B" {
+		t.Fatalf("got regressions %v, want exactly checkpoint B on grown", regs)
+	}
+}
+
 func TestCompareSkipsMissingAndQuick(t *testing.T) {
 	quick := res("q", 1, 1, 1)
 	quick.Quick = true
@@ -138,6 +150,9 @@ func TestMeasureQuickAllScenarios(t *testing.T) {
 		}
 		if got.NsPerRound < 0 || got.AllocsPerRound < 0 || got.BytesPerRound < 0 {
 			t.Errorf("%s: negative metrics: %+v", s.Name, got)
+		}
+		if (s.CheckpointBytes != nil) != (got.CheckpointBytes > 0) {
+			t.Errorf("%s: checkpoint_bytes %d does not match whether the scenario pushes checkpoints", s.Name, got.CheckpointBytes)
 		}
 	}
 }

@@ -57,6 +57,10 @@ type Result struct {
 	NsPerRound     float64 `json:"ns_per_round"`
 	AllocsPerRound float64 `json:"allocs_per_round"`
 	BytesPerRound  float64 `json:"bytes_per_round"`
+	// CheckpointBytes is the size of the last checkpoint payload the
+	// scenario's setup pushed, for scenarios that push one
+	// (Scenario.CheckpointBytes).
+	CheckpointBytes int64 `json:"checkpoint_bytes,omitempty"`
 }
 
 // Report is the full benchmark report: schema version, machine, and one
@@ -124,7 +128,7 @@ func ReadReport(rd io.Reader) (*Report, error) {
 // by more than the threshold.
 type Regression struct {
 	Scenario string
-	Metric   string // "ns/round", "allocs/round", or "B/round"
+	Metric   string // "ns/round", "allocs/round", "B/round", or "checkpoint B"
 	Old, New float64
 	// Change is the relative increase (new-old)/old; +Inf when old == 0.
 	Change float64
@@ -153,6 +157,7 @@ func Compare(baseline, current *Report, threshold float64) []Regression {
 			{"ns/round", old.NsPerRound, cur.NsPerRound},
 			{"allocs/round", old.AllocsPerRound, cur.AllocsPerRound},
 			{"B/round", old.BytesPerRound, cur.BytesPerRound},
+			{"checkpoint B", float64(old.CheckpointBytes), float64(cur.CheckpointBytes)},
 		}
 		for _, m := range metrics {
 			if reg, change := regressed(m.old, m.new, threshold); reg {

@@ -1,13 +1,18 @@
 package perf
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
+	"sync/atomic"
 
 	"rrsched/internal/core"
 	"rrsched/internal/model"
 	"rrsched/internal/obs"
 	"rrsched/internal/queue"
+	"rrsched/internal/serve"
 	"rrsched/internal/sim"
 	"rrsched/internal/stream"
 	"rrsched/internal/sweep"
@@ -23,16 +28,29 @@ type Scenario struct {
 	Doc    string
 	Rounds int64
 	Setup  func() (func() error, error)
+	// CheckpointBytes, if set, reports the size of the last checkpoint
+	// payload the scenario pushed. The harness reads it right after Setup,
+	// so the figure describes the warmed setup state and does not depend on
+	// how many ops the measurement ran.
+	CheckpointBytes func() int64
+}
+
+func (s Scenario) checkpointBytes() int64 {
+	if s.CheckpointBytes == nil {
+		return 0
+	}
+	return s.CheckpointBytes()
 }
 
 // Scenarios returns the fixed benchmark matrix, in report order: the engine
 // round loop and the ΔLRU-EDF decision path at n ∈ {8, 64, 512} over
 // short/long-delay color mixes, the queue primitives, the streaming
 // scheduler's push loop (fresh and 64 rounds after a burst) and checkpoint
-// round-trip, the sweep fan-out
-// substrate (pinned to one worker so the figure is dispatch overhead, not
-// parallel speedup), the incremental checkpoint store (full vs delta cuts at
-// a dirty fraction, fault-in chain resolution, manifest codec), and the
+// round-trip, one hosted serve shard's round with its checkpoint push, the
+// sweep fan-out substrate (pinned to one worker so the figure is dispatch
+// overhead, not parallel speedup), the incremental checkpoint store (full vs
+// delta cuts at a dirty fraction, fault-in chain resolution, manifest
+// codec), and the
 // wire-codec matrix (JSON vs binary submit encode/decode at batch sizes
 // 1/16/256, normalized per job).
 func Scenarios() []Scenario {
@@ -49,6 +67,7 @@ func Scenarios() []Scenario {
 		streamPushScenario(),
 		afterBurstScenario("stream/after-burst", afterBurstJobs),
 		streamCheckpointScenario(),
+		hostedTickScenario(),
 		sweepScenario(),
 	}
 	scs = append(scs, ckptScenarios()...)
@@ -402,6 +421,105 @@ func streamCheckpointScenario() Scenario {
 				_, err = stream.Restore(snap)
 				return err
 			}, nil
+		},
+	}
+}
+
+// hostedTick* shape the serve/hosted-tick scenario after the fleet
+// benchmark's steady tenants: 8 colours with delay bound 2^(2 + c mod 4),
+// load 0.6, on a Δ=4, n=8 shard. Each tenant's arrivals repeat with period
+// hostedTickPeriod rounds (job IDs keep rising), and setup runs
+// hostedTickWarmup rounds so the op measures a warmed shard.
+const (
+	hostedTickTenants = 4
+	hostedTickColors  = 8
+	hostedTickPeriod  = 256
+	hostedTickWarmup  = 64
+)
+
+// hostedTickScenario measures one round of a hosted shard as a worker runs
+// it: every tenant's arrivals for the round go through the service's HTTP
+// handler (binary frames, no socket), then Service.TickShard advances the
+// shard, which pushes its flat checkpoint to OnShardCheckpoint. The hook
+// records the payload size; checkpoint_bytes is the last warmup round's. The
+// service lives for the whole process: scenarios have no teardown.
+func hostedTickScenario() Scenario {
+	var ckptBytes atomic.Int64
+	return Scenario{
+		Name:            "serve/hosted-tick",
+		Doc:             "hosted shard round: 4 steady tenants submit through the handler, then TickShard pushes the flat checkpoint (figures per round)",
+		Rounds:          1,
+		CheckpointBytes: ckptBytes.Load,
+		Setup: func() (func() error, error) {
+			svc, _, err := serve.New(serve.Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 16, Hosted: true,
+				OnShardCheckpoint: func(_ int, _ int64, data []byte) error {
+					ckptBytes.Store(int64(len(data)))
+					return nil
+				}})
+			if err != nil {
+				return nil, err
+			}
+			if _, err := svc.OpenShard(0, nil); err != nil {
+				return nil, err
+			}
+			colors := make([][][]model.Color, hostedTickTenants)
+			for t := range colors {
+				seq, err := workload.RandomGeneral(workload.RandomConfig{
+					Seed: int64(t + 1), Delta: 4, Colors: hostedTickColors, Rounds: hostedTickPeriod,
+					MinDelayExp: 2, MaxDelayExp: 5, Load: 0.6,
+				})
+				if err != nil {
+					return nil, err
+				}
+				colors[t] = make([][]model.Color, hostedTickPeriod)
+				for r := range colors[t] {
+					for _, j := range seq.Request(int64(r)) {
+						colors[t][r] = append(colors[t][r], j.Color)
+					}
+				}
+			}
+			h := svc.Handler()
+			names := make([]string, hostedTickTenants)
+			for t := range names {
+				names[t] = fmt.Sprintf("tenant-%03d", t)
+			}
+			nextID := make([]int64, hostedTickTenants)
+			req := serve.SubmitRequest{Schema: serve.WireSchema}
+			var frame []byte
+			round := 0
+			step := func() error {
+				for t := range colors {
+					cs := colors[t][round%hostedTickPeriod]
+					if len(cs) == 0 {
+						continue
+					}
+					req.Tenant, req.Jobs = names[t], req.Jobs[:0]
+					for _, c := range cs {
+						req.Jobs = append(req.Jobs, serve.SubmitJob{ID: nextID[t], Color: int32(c), Delay: 1 << (2 + c%4)})
+						nextID[t]++
+					}
+					var err error
+					if frame, err = serve.AppendSubmitBinary(frame[:0], &req); err != nil {
+						return err
+					}
+					hr := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(frame))
+					hr.Header.Set("Content-Type", serve.ContentTypeBinary)
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, hr)
+					if rec.Code != http.StatusOK {
+						return fmt.Errorf("submit %s: status %d: %s", req.Tenant, rec.Code, rec.Body.Bytes())
+					}
+				}
+				round++
+				_, err := svc.TickShard(0, 1)
+				return err
+			}
+			for i := 0; i < hostedTickWarmup; i++ {
+				if err := step(); err != nil {
+					return nil, err
+				}
+			}
+			return step, nil
 		},
 	}
 }

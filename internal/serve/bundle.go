@@ -11,13 +11,15 @@ import (
 // Hosted-tier incremental checkpoints. With Config.CheckpointBundles on, the
 // per-tick OnShardCheckpoint payload is a ckptstore bundle — the shard's
 // manifest plus only the chunks the receiver has not acknowledged — instead
-// of the full flattened checkpoint JSON. The shard keeps its chunks in an
-// in-memory pool (no disk in hosted mode) and tracks acknowledgements: a
-// successful hook call acks the manifest's closure, a failed one resets the
-// acks so the next push resends everything the receiver might have dropped.
-// The dispatcher sniffs push bodies (ckptstore.IsBundle) and flattens bundles
-// back to legacy checkpoint JSON, so everything downstream of its checkpoint
-// store — persistence, failover grants, reshards — is untouched.
+// of the full flat checkpoint. The shard keeps its chunks in an in-memory
+// pool (no disk in hosted mode) and tracks acknowledgements: a successful
+// hook call acks the manifest's closure, a failed one resets the acks so the
+// next push resends everything the receiver might have dropped. The
+// dispatcher sniffs push bodies (ckptstore.IsBundle) and flattens bundles
+// back to flat checkpoint JSON, so everything downstream of its checkpoint
+// store — persistence, failover grants, reshards — is untouched. Flat
+// checkpoints and chunk payloads are compact JSON like every state image
+// (see shardCheckpoint); only stream.Scheduler.Snapshot is indented.
 
 // offerCheckpoint builds the shard's checkpoint payload (bundle or flat JSON)
 // and offers it to Config.OnShardCheckpoint. No-op without a hook.
@@ -127,7 +129,7 @@ func (sh *shard) commitBundleAck() {
 	sh.lastClosure = nil
 }
 
-// FlattenBundle converts an incremental checkpoint bundle into flat legacy
+// FlattenBundle converts an incremental checkpoint bundle into compact flat
 // checkpoint JSON, absorbing the bundle's chunks into pool (which persists
 // unacked state across pushes — the sender only resends what a failure makes
 // doubtful). A reference the pool cannot resolve is an error: the caller
@@ -189,7 +191,7 @@ func FlattenBundle(data []byte, pool *ckptstore.MemStore) ([]byte, error) {
 		}
 		cp.Tenants = append(cp.Tenants, tcp.Tenant)
 	}
-	out, err := json.MarshalIndent(cp, "", "  ")
+	out, err := json.Marshal(cp)
 	if err != nil {
 		return nil, fmt.Errorf("serve: flattening shard %d: %w", m.Shard, err)
 	}

@@ -16,6 +16,12 @@ const StateSchema = "rrserve-state/v1"
 // every tenant the embedded stream checkpoint plus the ingest-layer state the
 // stream scheduler does not know about (queued-but-unpushed jobs, the ID
 // high-water mark, and the inflight metadata the metrics layer needs).
+//
+// Images are written as compact JSON, tenant snapshots included
+// (stream.Scheduler.AppendSnapshot): they travel machine to machine on every
+// hosted tick, sync, close and drain. stream.Scheduler.Snapshot is the
+// indented debug view of the same state. Restore accepts either spacing, so
+// indented images written by older builds still restore.
 type shardCheckpoint struct {
 	Schema string `json:"schema"`
 	Shard  int    `json:"shard"`
@@ -100,13 +106,13 @@ func (sh *shard) checkpoint() ([]byte, error) {
 		}
 		cp.Tenants = append(cp.Tenants, tcp)
 	}
-	return json.MarshalIndent(cp, "", "  ")
+	return json.Marshal(cp)
 }
 
 // checkpointTenant serializes one tenant. Shared by whole-shard checkpoints
 // and the reshard migration path, which ships single tenants between shards.
 func (sh *shard) checkpointTenant(tn *tenant, decisions bool) (tenantCheckpoint, error) {
-	snap, err := tn.sched.Snapshot()
+	snap, err := tn.sched.AppendSnapshot(nil)
 	if err != nil {
 		return tenantCheckpoint{}, fmt.Errorf("serve: checkpointing tenant %q: %w", tn.name, err)
 	}

@@ -665,7 +665,7 @@ func ReshardCheckpoints(old [][]byte, newShards int) ([][]byte, error) {
 	res := make([][]byte, newShards)
 	for i, cp := range out {
 		sort.Slice(cp.Tenants, func(a, b int) bool { return cp.Tenants[a].Name < cp.Tenants[b].Name })
-		data, err := json.MarshalIndent(cp, "", "  ")
+		data, err := json.Marshal(cp)
 		if err != nil {
 			return nil, fmt.Errorf("serve: serializing resharded shard %d: %w", i, err)
 		}

@@ -65,21 +65,42 @@ func TestSnapshotRestoreDecisionIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The compact image is a second restore input: Snapshot must be
+		// its indented view, and both must resume identically.
+		compact, err := a.AppendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(indentJSON(t, compact), snap) {
+			t.Fatalf("kill at %d: Snapshot is not the indented compact image", killAt)
+		}
 		a = nil
 		b, err := Restore(snap)
 		if err != nil {
 			t.Fatalf("kill at %d: restore: %v", killAt, err)
 		}
+		c, err := Restore(compact)
+		if err != nil {
+			t.Fatalf("kill at %d: restore compact: %v", killAt, err)
+		}
+		compactDecs := append([]Decision(nil), decs...)
 		for r := killAt + 1; r <= horizon; r++ {
 			dec, err := b.Push(r, seq.Request(r))
 			if err != nil {
 				t.Fatalf("kill at %d: push round %d: %v", killAt, r, err)
 			}
 			decs = append(decs, dec)
+			if dec, err = c.Push(r, seq.Request(r)); err != nil {
+				t.Fatalf("kill at %d: compact push round %d: %v", killAt, r, err)
+			}
+			compactDecs = append(compactDecs, dec)
 		}
 
 		if !bytes.Equal(decisionBytes(t, refDecs), decisionBytes(t, decs)) {
 			t.Fatalf("kill at %d: resumed decision trace differs from uninterrupted run", killAt)
+		}
+		if !bytes.Equal(decisionBytes(t, decs), decisionBytes(t, compactDecs)) {
+			t.Fatalf("kill at %d: resuming the compact image differs from resuming Snapshot", killAt)
 		}
 		if ref.Cost() != b.Cost() {
 			t.Fatalf("kill at %d: resumed cost %v != uninterrupted %v", killAt, ref.Cost(), b.Cost())
@@ -100,6 +121,76 @@ func TestSnapshotRestoreDecisionIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(refSnap, endSnap) {
 			t.Fatalf("kill at %d: final snapshots differ", killAt)
+		}
+	}
+}
+
+func indentJSON(t *testing.T, compact []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestAfterBurstFixtureCompactImage: a scheduler restored from the indented
+// after-burst fixture re-encodes to a compact image without whitespace whose
+// indented form is the fixture itself, AppendSnapshot really appends, and
+// restoring the compact image or Snapshot continues into the recorded
+// decisions alike.
+func TestAfterBurstFixtureCompactImage(t *testing.T) {
+	fixture := readFixture(t, "after-burst.snapshot.json")
+	s, err := Restore(fixture)
+	if err != nil {
+		t.Fatalf("restoring fixture: %v", err)
+	}
+	compact, err := s.AppendSnapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := bytes.IndexAny(compact, " \n"); i >= 0 {
+		t.Fatalf("compact image has whitespace at byte %d of %d", i, len(compact))
+	}
+	if !bytes.Equal(indentJSON(t, compact), fixture) {
+		t.Fatal("indented compact image differs from the fixture")
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, fixture) {
+		t.Fatal("Snapshot of the restored fixture differs from the fixture")
+	}
+	prefixed, err := s.AppendSnapshot([]byte("image:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prefixed, append([]byte("image:"), compact...)) {
+		t.Fatal("AppendSnapshot does not append the image to dst")
+	}
+
+	want := readFixture(t, "after-burst.decisions.json")
+	pushes := fixturePushes()
+	for name, image := range map[string][]byte{"compact": compact, "Snapshot": snap} {
+		r, err := Restore(image)
+		if err != nil {
+			t.Fatalf("restoring the %s image: %v", name, err)
+		}
+		decs := make([]Decision, 0, fixtureTailRounds)
+		for round := fixtureSnapRound; round < len(pushes); round++ {
+			dec, err := r.Push(int64(round), pushes[round])
+			if err != nil {
+				t.Fatal(err)
+			}
+			decs = append(decs, dec)
+		}
+		got, err := json.MarshalIndent(decs, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("decisions after restoring the %s image differ from the recorded ones", name)
 		}
 	}
 }

@@ -171,8 +171,9 @@ func NewStream(delta int64, resources int) (*Stream, error) {
 }
 
 // RestoreStream rebuilds a Stream from a checkpoint taken with its Snapshot
-// method. The resumed scheduler's decisions are identical to those the
-// original would have produced had it never been interrupted:
+// (indented) or AppendSnapshot (compact) method. The resumed scheduler's
+// decisions are identical to those the original would have produced had it
+// never been interrupted:
 //
 //	snap, _ := s.Snapshot()        // persist before shutdown
 //	s2, _ := rrsched.RestoreStream(snap)
