@@ -19,7 +19,7 @@ import (
 	"hash/fnv"
 )
 
-// chunkMagic opens every chunk file. Distinct from JSON ('{') and from the
+// chunkMagic opens every encoded chunk. Distinct from JSON ('{') and from the
 // bundle magic, so a sniffing reader can classify any artifact.
 const chunkMagic = "rrck"
 

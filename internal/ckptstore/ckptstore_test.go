@@ -208,12 +208,28 @@ func TestStoreRejectsCorruptChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := s.PutFull([]byte("payload"))
-	path := filepath.Join(dir, fmt.Sprintf("%016x.chunk", res.Ref.ID))
-	if err := os.WriteFile(path, []byte("rrck\x01\x00corrupted"), 0o644); err != nil {
+	// Flip one payload byte inside the pack: the record framing and chunk
+	// header stay valid, so only the content address can catch it.
+	path := filepath.Join(dir, "pack-00000.pack")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[recHeaderLen+chunkHeaderLen+1] ^= 0x20
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := s.Resolve(res.Ref.ID); err == nil {
 		t.Fatal("Resolve accepted a chunk whose content no longer matches its address")
+	}
+	_ = s.Close()
+	reopened, err := Open(dir, 0)
+	if err != nil {
+		t.Fatalf("reopen over a corrupt body (bodies are verified on read, not at open): %v", err)
+	}
+	defer reopened.Close()
+	if _, _, err := reopened.Resolve(res.Ref.ID); err == nil {
+		t.Fatal("Resolve after reopen accepted a chunk whose content no longer matches its address")
 	}
 }
 
@@ -320,7 +336,7 @@ func TestDecLogAppendReadRotate(t *testing.T) {
 			t.Fatalf("t1 record %d: %+v", i, rec)
 		}
 	}
-	segs, err := l.segments()
+	segs, err := l.segs.list()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,9 @@
 package ckptstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"rrsched/internal/atomicio"
 )
@@ -38,13 +35,8 @@ type LogRecord struct {
 //
 // Not safe for concurrent use: each log is owned by its shard goroutine.
 type DecLog struct {
-	dir     string
-	maxSeg  int64
-	f       *os.File
-	w       *bufio.Writer
-	seg     int
-	segSize int64
-	total   int64
+	segs  segmentLog
+	total int64
 }
 
 // OpenDecLog opens (creating if needed) the decision log rooted at dir.
@@ -62,64 +54,24 @@ func OpenDecLog(dir string, maxSeg int64) (*DecLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckptstore: creating decision log dir: %w", err)
 	}
-	l := &DecLog{dir: dir, maxSeg: maxSeg}
-	segs, err := l.segments()
+	l := &DecLog{segs: segmentLog{dir: dir, prefix: "seg-", suffix: ".log",
+		what: "decision log segment", maxSeg: maxSeg, buffered: true}}
+	total, err := l.segs.recover(func(seg int, path string) (int64, error) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return 0, fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
+		}
+		good, err := scanRecords(data, nil)
+		if err != nil {
+			return good, fmt.Errorf("%w: %v", errDamaged, err)
+		}
+		return good, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, seg := range segs {
-		data, err := os.ReadFile(l.segPath(seg))
-		if err != nil {
-			return nil, fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
-		}
-		good, scanErr := scanRecords(data, nil)
-		if scanErr != nil {
-			if i != len(segs)-1 {
-				return nil, fmt.Errorf("ckptstore: decision log segment %d corrupt mid-stream: %w", seg, scanErr)
-			}
-			// Torn tail: a crash interrupted the last append. Keep the good
-			// prefix.
-			if err := os.Truncate(l.segPath(seg), good); err != nil {
-				return nil, fmt.Errorf("ckptstore: truncating torn decision log tail: %w", err)
-			}
-			data = data[:good]
-		}
-		l.total += int64(len(data))
-		if i == len(segs)-1 {
-			l.seg = seg
-			l.segSize = int64(len(data))
-		}
-	}
-	if len(segs) == 0 {
-		l.seg = 0
-		l.segSize = 0
-	}
+	l.total = total
 	return l, nil
-}
-
-func (l *DecLog) segPath(seg int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("seg-%05d.log", seg))
-}
-
-// segments lists existing segment indices in ascending order.
-func (l *DecLog) segments() ([]int, error) {
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, fmt.Errorf("ckptstore: scanning decision log dir: %w", err)
-	}
-	var segs []int
-	for _, e := range entries {
-		var i int
-		if n, err := fmt.Sscanf(e.Name(), "seg-%d.log", &i); err != nil || n != 1 {
-			continue
-		}
-		if e.Name() != fmt.Sprintf("seg-%05d.log", i) {
-			continue
-		}
-		segs = append(segs, i)
-	}
-	sort.Ints(segs)
-	return segs, nil
 }
 
 // scanRecords walks encoded records, invoking fn (when non-nil) per record.
@@ -193,69 +145,16 @@ func (l *DecLog) Append(tenant string, round int64, payload []byte) error {
 	if len(tenant) == 0 || len(tenant) > maxLogRecordLen || len(payload) > maxLogRecordLen {
 		return fmt.Errorf("ckptstore: decision log record out of bounds (tenant %d bytes, payload %d bytes)", len(tenant), len(payload))
 	}
-	if l.f == nil {
-		if err := l.openSegment(); err != nil {
-			return err
-		}
-	}
 	rec := appendRecord(nil, tenant, round, payload)
-	if _, err := l.w.Write(rec); err != nil {
-		return fmt.Errorf("ckptstore: appending decision record: %w", err)
-	}
-	l.segSize += int64(len(rec))
-	l.total += int64(len(rec))
-	if l.segSize >= l.maxSeg {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *DecLog) openSegment() error {
-	f, err := os.OpenFile(l.segPath(l.seg), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("ckptstore: opening decision log segment: %w", err)
-	}
-	l.f = f
-	l.w = bufio.NewWriter(f)
-	return nil
-}
-
-func (l *DecLog) rotate() error {
-	if err := l.closeSegment(); err != nil {
+	if _, _, err := l.segs.append(rec); err != nil {
 		return err
 	}
-	l.seg++
-	l.segSize = 0
-	return nil
-}
-
-func (l *DecLog) closeSegment() error {
-	if l.f == nil {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("ckptstore: flushing decision log: %w", err)
-	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("ckptstore: closing decision log segment: %w", err)
-	}
-	l.f = nil
-	l.w = nil
+	l.total += int64(len(rec))
 	return nil
 }
 
 // Flush commits the buffered tail to the current segment file.
-func (l *DecLog) Flush() error {
-	if l.w == nil {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("ckptstore: flushing decision log: %w", err)
-	}
-	return nil
-}
+func (l *DecLog) Flush() error { return l.segs.flush() }
 
 // Bytes returns the total log size across segments, including the buffered
 // tail.
@@ -265,50 +164,41 @@ func (l *DecLog) Bytes() int64 { return l.total }
 // The buffered tail is flushed first, so the result reflects every Append so
 // far.
 func (l *DecLog) ReadTenant(tenant string) ([]LogRecord, error) {
-	if err := l.Flush(); err != nil {
-		return nil, err
-	}
-	segs, err := l.segments()
-	if err != nil {
-		return nil, err
-	}
 	var out []LogRecord
-	for _, seg := range segs {
-		data, err := os.ReadFile(l.segPath(seg))
-		if err != nil {
-			return nil, fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
+	err := l.walk(func(name string, rec LogRecord) error {
+		if name == tenant {
+			out = append(out, LogRecord{Round: rec.Round, Payload: append([]byte(nil), rec.Payload...)})
 		}
-		if _, err := scanRecords(data, func(name string, rec LogRecord) error {
-			if name == tenant {
-				out = append(out, LogRecord{Round: rec.Round, Payload: append([]byte(nil), rec.Payload...)})
-			}
-			return nil
-		}); err != nil {
-			return nil, fmt.Errorf("ckptstore: decision log segment %d: %w", seg, err)
-		}
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // ReadAll walks every record in the log in append order, invoking fn per
 // record. The buffered tail is flushed first. Used at boot when a shard-count
 // change forces redistributing the whole log across a new ring.
 func (l *DecLog) ReadAll(fn func(tenant string, rec LogRecord) error) error {
+	return l.walk(func(name string, rec LogRecord) error {
+		return fn(name, LogRecord{Round: rec.Round, Payload: append([]byte(nil), rec.Payload...)})
+	})
+}
+
+// walk flushes the buffered tail and scans every segment in order; payloads
+// passed to fn alias the segment read buffer.
+func (l *DecLog) walk(fn func(tenant string, rec LogRecord) error) error {
 	if err := l.Flush(); err != nil {
 		return err
 	}
-	segs, err := l.segments()
+	segs, err := l.segs.list()
 	if err != nil {
 		return err
 	}
 	for _, seg := range segs {
-		data, err := os.ReadFile(l.segPath(seg))
+		data, err := os.ReadFile(l.segs.path(seg))
 		if err != nil {
 			return fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
 		}
-		if _, err := scanRecords(data, func(name string, rec LogRecord) error {
-			return fn(name, LogRecord{Round: rec.Round, Payload: append([]byte(nil), rec.Payload...)})
-		}); err != nil {
+		if _, err := scanRecords(data, fn); err != nil {
 			return fmt.Errorf("ckptstore: decision log segment %d: %w", seg, err)
 		}
 	}
@@ -320,16 +210,17 @@ func (l *DecLog) ReadAll(fn func(tenant string, rec LogRecord) error) error {
 // fault-in appends a migrated tenant's older records after newer ones), so
 // every segment is scanned and rewritten only if it holds a violating record.
 func (l *DecLog) TruncateFrom(round int64) error {
-	if err := l.closeSegment(); err != nil {
+	if err := l.segs.close(); err != nil {
 		return err
 	}
-	segs, err := l.segments()
+	segs, err := l.segs.list()
 	if err != nil {
 		return err
 	}
 	l.total = 0
+	l.segs.seg, l.segs.size = 0, 0
 	for _, seg := range segs {
-		path := l.segPath(seg)
+		path := l.segs.path(seg)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("ckptstore: reading decision log segment %d: %w", seg, err)
@@ -353,15 +244,10 @@ func (l *DecLog) TruncateFrom(round int64) error {
 			data = kept
 		}
 		l.total += int64(len(data))
-		l.seg = seg
-		l.segSize = int64(len(data))
-	}
-	if len(segs) == 0 {
-		l.seg = 0
-		l.segSize = 0
+		l.segs.seg, l.segs.size = seg, int64(len(data))
 	}
 	return nil
 }
 
 // Close flushes and closes the log.
-func (l *DecLog) Close() error { return l.closeSegment() }
+func (l *DecLog) Close() error { return l.segs.close() }

@@ -106,3 +106,113 @@ func FuzzDecodeBundle(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDiskStore drives the pack store with an arbitrary sequence of puts, GCs
+// and reopens, checked step by step against the in-memory pool: the same
+// PutResults, the same GC removals, the same committed set, and every chunk
+// resolving to the same payload. Packs rotate every 128 bytes, so sequences
+// cross pack boundaries, compact the tail and reopen over sealed packs.
+func FuzzDiskStore(f *testing.F) {
+	f.Add([]byte{0, 5, 'h', 'e', 'l', 'l', 'o', 1, 3, 'a', 'b', 'c', 2, 1, 3, 0, 4, 'w', 'x', 'y', 'z'})
+	f.Add([]byte{0, 30, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9, 2, 0, 3})
+	f.Add([]byte{3, 2, 0, 0, 1, 1, 2, 255, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		dir := t.TempDir()
+		s, err := openStore(dir, 0, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = s.Close() }()
+		model := NewMemStore(0)
+		var refs []Ref
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		for steps := 0; len(ops) > 0 && steps < 64; steps++ {
+			switch next() % 4 {
+			case 0, 1:
+				n := int(next() % 48)
+				payload := make([]byte, n)
+				for i := range payload {
+					payload[i] = next()
+				}
+				parent := Ref{}
+				if sel := next(); len(refs) > 0 && sel%2 == 1 {
+					parent = refs[int(sel/2)%len(refs)]
+				}
+				got, err := s.Put(payload, parent)
+				if err != nil {
+					t.Fatalf("disk put: %v", err)
+				}
+				want, err := model.Put(payload, parent)
+				if err != nil {
+					t.Fatalf("pool put: %v", err)
+				}
+				if got != want {
+					t.Fatalf("put diverges: disk %+v, pool %+v", got, want)
+				}
+				refs = append(refs, got.Ref)
+			case 2:
+				mask := next()
+				var roots []uint64
+				for i, r := range refs {
+					if mask>>(i%8)&1 == 1 {
+						roots = append(roots, r.ID)
+					}
+				}
+				removed, err := s.GC(roots)
+				if err != nil {
+					t.Fatalf("disk GC: %v", err)
+				}
+				live, err := model.Closure(roots)
+				if err != nil {
+					t.Fatalf("pool closure: %v", err)
+				}
+				before := model.Len()
+				model.Prune(live)
+				if removed != before-model.Len() {
+					t.Fatalf("GC removed %d chunks, pool pruned %d", removed, before-model.Len())
+				}
+				kept := refs[:0]
+				for _, r := range refs {
+					if live[r.ID] {
+						kept = append(kept, r)
+					}
+				}
+				refs = kept
+			case 3:
+				if err := s.Close(); err != nil {
+					t.Fatalf("close: %v", err)
+				}
+				if s, err = openStore(dir, 0, 128); err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+			}
+			ids, err := s.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) != model.Len() {
+				t.Fatalf("disk store lists %d chunks, pool holds %d", len(ids), model.Len())
+			}
+			for _, id := range ids {
+				got, _, err := s.Resolve(id)
+				if err != nil {
+					t.Fatalf("disk resolve %016x: %v", id, err)
+				}
+				want, _, err := model.Resolve(id)
+				if err != nil {
+					t.Fatalf("chunk %016x on disk but not in the pool: %v", id, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("chunk %016x resolves to %q on disk, %q in the pool", id, got, want)
+				}
+			}
+		}
+	})
+}

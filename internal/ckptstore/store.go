@@ -1,16 +1,6 @@
 package ckptstore
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-
-	"rrsched/internal/atomicio"
-)
+import "fmt"
 
 // DefaultMaxChain is the hard bound on delta chain length when the caller
 // does not configure one: the eighth consecutive delta cut of a tenant is
@@ -38,40 +28,6 @@ type PutResult struct {
 	// Bytes is the encoded chunk size (also counted when deduplicated — it is
 	// the size a migration of this chunk would move).
 	Bytes int
-}
-
-// Store is the on-disk content-addressed chunk store. One store serves every
-// shard of a service: chunks are immutable and content-addressed, so sharing
-// a directory is what makes reshard migration free of data movement. Writes
-// go through internal/atomicio; the mutex serializes them so two shards
-// evicting identical tenants never race on one temp file.
-type Store struct {
-	dir      string
-	maxChain int
-
-	mu sync.Mutex
-}
-
-// Open opens (creating if needed) a chunk store rooted at dir. maxChain
-// bounds delta chains; 0 selects DefaultMaxChain.
-func Open(dir string, maxChain int) (*Store, error) {
-	if maxChain < 0 {
-		return nil, fmt.Errorf("ckptstore: negative max chain %d", maxChain)
-	}
-	if maxChain == 0 {
-		maxChain = DefaultMaxChain
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ckptstore: creating chunk dir: %w", err)
-	}
-	return &Store{dir: dir, maxChain: maxChain}, nil
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-func (s *Store) path(id uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.chunk", id))
 }
 
 // PutFull stores payload as a full chunk.
@@ -119,40 +75,6 @@ func (s *Store) Put(payload []byte, parent Ref) (PutResult, error) {
 		return PutResult{}, err
 	}
 	return PutResult{Ref: Ref{ID: deltaID, Chain: parent.Chain + 1}, Wrote: wrote, Delta: true, Bytes: len(encDelta)}, nil
-}
-
-// write commits encoded chunk bytes under their content address, returning
-// whether new bytes landed (false = an identical chunk already exists).
-func (s *Store) write(id uint64, enc []byte) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := s.path(id)
-	if _, err := os.Stat(path); err == nil {
-		// Content-addressed dedupe: the bytes are already committed.
-		return false, nil
-	}
-	if err := atomicio.WriteFile(path, enc, 0o644); err != nil {
-		return false, fmt.Errorf("ckptstore: writing chunk %016x: %w", id, err)
-	}
-	return true, nil
-}
-
-// Has reports whether a chunk is committed.
-func (s *Store) Has(id uint64) bool {
-	_, err := os.Stat(s.path(id))
-	return err == nil
-}
-
-// get reads and verifies one committed chunk.
-func (s *Store) get(id uint64) ([]byte, error) {
-	data, err := os.ReadFile(s.path(id))
-	if err != nil {
-		return nil, fmt.Errorf("ckptstore: reading chunk %016x: %w", id, err)
-	}
-	if err := VerifyChunk(id, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Resolve reconstructs the payload committed under id, following delta
@@ -235,65 +157,6 @@ func closureFrom(get func(uint64) ([]byte, error), roots []uint64) (map[uint64]b
 		}
 	}
 	return live, nil
-}
-
-// GC removes every committed chunk outside the closure of roots. Orphans are
-// exactly the chunks a crash can strand between a chunk write and a manifest
-// rename: no committed manifest references them, so no restore will ever read
-// them, and removing them is safe at any commit point. Returns the number of
-// chunks removed.
-func (s *Store) GC(roots []uint64) (int, error) {
-	live, err := s.Closure(roots)
-	if err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, fmt.Errorf("ckptstore: scanning chunk dir: %w", err)
-	}
-	removed := 0
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".chunk") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".chunk"), 16, 64)
-		if err != nil {
-			continue // not a chunk file
-		}
-		if live[id] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil {
-			return removed, fmt.Errorf("ckptstore: removing orphan chunk %s: %w", name, err)
-		}
-		removed++
-	}
-	return removed, nil
-}
-
-// List returns the committed chunk IDs in ascending order.
-func (s *Store) List() ([]uint64, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("ckptstore: scanning chunk dir: %w", err)
-	}
-	var ids []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".chunk") {
-			continue
-		}
-		id, err := strconv.ParseUint(strings.TrimSuffix(name, ".chunk"), 16, 64)
-		if err != nil {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids, nil
 }
 
 // MemStore is the in-memory chunk pool of the hosted tier: the worker side

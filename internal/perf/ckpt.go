@@ -3,16 +3,18 @@ package perf
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 
 	"rrsched/internal/ckptstore"
 )
 
 // Incremental checkpoint store scenarios: the cost of cutting a shard into
 // content-addressed chunks (full cut vs delta cut at a dirty fraction),
-// resolving a delta chain back into a payload (the fault-in path, minus disk
-// I/O), and the manifest codec round-trip. All figures are pure codec and
-// chain costs against the in-memory pool; the disk store adds only the
-// atomic-write syscalls on top.
+// resolving a delta chain back into a payload (the fault-in path), and the
+// manifest codec round-trip, all against the in-memory pool; then one
+// evict/fault-in cycle against the pool and against the disk store, whose
+// difference is the store's file I/O: one pack append per put and one ReadAt
+// per chunk read.
 
 // ckptTenantFrame is a synthetic tenant checkpoint payload of realistic
 // shape and size (~8 KiB encoded, the order of a warmed tenant with an
@@ -47,7 +49,8 @@ func ckptPayload(tenant int, rev int64) ([]byte, error) {
 
 // ckptScenarios returns the checkpoint-store benchmark rows: cut cost at
 // n ∈ {8, 512} tenants (full cut, and delta cut at 1% / 100% dirty),
-// fault-in chain resolution, and the manifest codec round-trip.
+// fault-in chain resolution, the manifest codec round-trip, and the
+// evict/fault-in cycle on the in-memory pool and on the disk store.
 func ckptScenarios() []Scenario {
 	var scs []Scenario
 	for _, n := range []int{8, 512} {
@@ -57,7 +60,7 @@ func ckptScenarios() []Scenario {
 		}
 		scs = append(scs, ckptManifestScenario(n))
 	}
-	scs = append(scs, ckptFaultInScenario())
+	scs = append(scs, ckptFaultInScenario(), ckptEvictScenario(false), ckptEvictScenario(true))
 	return scs
 }
 
@@ -226,6 +229,79 @@ func ckptFaultInScenario() Scenario {
 				var f ckptTenantFrame
 				return json.Unmarshal(payload, &f)
 			}, nil
+		},
+	}
+}
+
+// chunkPutResolver is the part of a chunk store one evict/fault-in cycle
+// uses; the in-memory pool and the disk store both provide it.
+type chunkPutResolver interface {
+	Put(payload []byte, parent ckptstore.Ref) (ckptstore.PutResult, error)
+	Resolve(id uint64) ([]byte, int, error)
+}
+
+// ckptEvictScenario measures one evict/fault-in cycle of a dirty tenant: Put
+// its next revision as a delta on its previous chunk (folding into a full
+// chunk at the chain bound, as eviction does), then Resolve it back, as the
+// next fault-in does. Every revision differs in a fixed-width tag, so every
+// put writes new bytes. The disk variant runs against a store in a fresh
+// temporary directory, removed at teardown: the real cycle with its syscalls.
+func ckptEvictScenario(disk bool) Scenario {
+	name, doc := "ckpt/evict/mem", "evict/fault-in cycle on the in-memory pool: delta Put of a dirty tenant plus Resolve (figures per cycle)"
+	if disk {
+		name, doc = "ckpt/evict/disk", "evict/fault-in cycle on the disk chunk store in a temp dir: delta Put of a dirty tenant plus Resolve, with its file I/O (figures per cycle)"
+	}
+	var dir string
+	var closeStore func() error
+	return Scenario{
+		Name:   name,
+		Doc:    doc,
+		Rounds: 1,
+		Setup: func() (func() error, error) {
+			var store chunkPutResolver = ckptstore.NewMemStore(0)
+			if disk {
+				var err error
+				if dir, err = os.MkdirTemp("", "rrbench-ckpt-evict-"); err != nil {
+					return nil, err
+				}
+				st, err := ckptstore.Open(dir, 0)
+				if err != nil {
+					return nil, err
+				}
+				store, closeStore = st, st.Close
+			}
+			f := ckptTenantFrame{Name: fmt.Sprintf("bench-%016x", 0), Snapshot: make([]int64, 768)}
+			for i := range f.Snapshot {
+				f.Snapshot[i] = int64(i)
+			}
+			payload, err := json.Marshal(f)
+			if err != nil {
+				return nil, err
+			}
+			tag := len(`{"name":"bench-`)
+			var rev uint64
+			ref := ckptstore.Ref{}
+			return func() error {
+				rev++
+				copy(payload[tag:tag+16], fmt.Sprintf("%016x", rev))
+				res, err := store.Put(payload, ref)
+				if err != nil {
+					return err
+				}
+				ref = res.Ref
+				_, _, err = store.Resolve(ref.ID)
+				return err
+			}, nil
+		},
+		Teardown: func() {
+			if closeStore != nil {
+				_ = closeStore() // the directory goes next; nothing in it is kept
+				closeStore = nil
+			}
+			if dir != "" {
+				_ = os.RemoveAll(dir) // best-effort removal of a benchmark temp dir
+				dir = ""
+			}
 		},
 	}
 }

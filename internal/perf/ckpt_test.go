@@ -27,6 +27,7 @@ func TestCkptScenariosRegistered(t *testing.T) {
 		"ckpt/cut/delta/n512/dirty1", "ckpt/cut/delta/n512/dirty100",
 		"ckpt/manifest/n8", "ckpt/manifest/n512",
 		"ckpt/faultin/chain4",
+		"ckpt/evict/mem", "ckpt/evict/disk",
 	}
 	for _, name := range want {
 		s := mustScenario(t, name)
@@ -52,6 +53,7 @@ func TestCkptScenariosRun(t *testing.T) {
 				t.Fatalf("%s: op run %d: %v", s.Name, i, err)
 			}
 		}
+		s.teardown()
 	}
 }
 
@@ -80,5 +82,33 @@ func TestDeltaCutBeatsFullCutAtLowDirty(t *testing.T) {
 	t.Logf("full cut %.1f ns/tenant, delta cut (1%% dirty) %.1f ns/tenant: %.1fx", full.NsPerRound, delta.NsPerRound, ratio)
 	if ratio < 5 {
 		t.Fatalf("delta cut at 1%% dirty is only %.2fx faster than a full cut, want >= 5x", ratio)
+	}
+}
+
+// TestEvictCycleDiskWithin4xOfMem gates the disk chunk store's file I/O: one
+// evict/fault-in cycle against a temp-dir store must stay within 4x of the
+// same cycle on the in-memory pool. The disk cycle adds one pack append and a
+// ReadAt per chunk read to the pool's codec work (about 2x on a 2-vCPU VM);
+// a file create and rename per chunk measured 18-33x there. -short skips the
+// two 1-second measurements.
+func TestEvictCycleDiskWithin4xOfMem(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two benchmark measurements; skipped under -short")
+	}
+	mem, err := Measure(mustScenario(t, "ckpt/evict/mem"))
+	if err != nil {
+		t.Fatalf("measuring the pool cycle: %v", err)
+	}
+	disk, err := Measure(mustScenario(t, "ckpt/evict/disk"))
+	if err != nil {
+		t.Fatalf("measuring the disk cycle: %v", err)
+	}
+	if mem.NsPerRound <= 0 || disk.NsPerRound <= 0 {
+		t.Fatalf("non-positive figures: mem=%v disk=%v", mem.NsPerRound, disk.NsPerRound)
+	}
+	ratio := disk.NsPerRound / mem.NsPerRound
+	t.Logf("evict/fault-in cycle: pool %.0f ns, disk %.0f ns: %.2fx", mem.NsPerRound, disk.NsPerRound, ratio)
+	if ratio > 4 {
+		t.Fatalf("the disk cycle costs %.2fx the pool cycle, want <= 4x", ratio)
 	}
 }

@@ -12,6 +12,7 @@ import (
 // its per-round figures. Setup cost is excluded: the op closure is built
 // once, before timing starts.
 func Measure(s Scenario) (Result, error) {
+	defer s.teardown()
 	op, err := s.Setup()
 	if err != nil {
 		return Result{}, fmt.Errorf("perf: scenario %s setup: %w", s.Name, err)
@@ -47,6 +48,7 @@ func Measure(s Scenario) (Result, error) {
 // and produces a schema-valid report in a few hundred milliseconds total,
 // but the numbers are unaveraged and marked Quick so Compare ignores them.
 func MeasureQuick(s Scenario) (Result, error) {
+	defer s.teardown()
 	op, err := s.Setup()
 	if err != nil {
 		return Result{}, fmt.Errorf("perf: scenario %s setup: %w", s.Name, err)

@@ -33,6 +33,15 @@ type Scenario struct {
 	// so the figure describes the warmed setup state and does not depend on
 	// how many ops the measurement ran.
 	CheckpointBytes func() int64
+	// Teardown, if set, releases what Setup acquired outside the process
+	// (temporary directories). The harness calls it once the op is done.
+	Teardown func()
+}
+
+func (s Scenario) teardown() {
+	if s.Teardown != nil {
+		s.Teardown()
+	}
 }
 
 func (s Scenario) checkpointBytes() int64 {

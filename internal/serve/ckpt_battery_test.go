@@ -7,9 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
+	"rrsched/internal/ckptstore"
 	"rrsched/internal/model"
 	"rrsched/internal/stream"
 )
@@ -353,11 +353,12 @@ func TestLegacyFullStateFallback(t *testing.T) {
 
 // TestOrphanChunksIgnoredAndCollected simulates the two torn-cut crash
 // windows — between a chunk write and the manifest rename, and mid-compaction
-// after a folded chunk lands but before the manifest commits. Both leave
-// chunk files no manifest references. Restore must come up from the last
-// committed manifests without ever reading the orphans (their content is
-// garbage, so a read would fail loudly), and the next cut's GC must delete
-// them.
+// after a folded chunk lands but before the manifest commits. Both leave pack
+// records no manifest references, and a crash mid-append leaves a torn record
+// after them. Restore must come up from the last committed manifests without
+// ever reading the orphans (their bodies are corrupt, so a read would fail
+// loudly), and the next cut's GC must drop them and keep every committed
+// chunk.
 func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16,
 		RecordDecisions: true, StateDir: t.TempDir()}
@@ -389,11 +390,37 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	if len(committed) == 0 {
 		t.Fatal("no chunks written by two cuts")
 	}
-	orphans := []string{"00000000deadbeef.chunk", "feedfacefeedface.chunk"}
-	for _, name := range orphans {
-		if err := os.WriteFile(filepath.Join(chunkDir, name), []byte("torn garbage, never valid"), 0o644); err != nil {
+	// Valid orphan records appended through the store itself, their bodies
+	// then corrupted in place, and a torn record after them.
+	st, err := ckptstore.Open(chunkDir, 0)
+	if err != nil {
+		t.Fatalf("open chunk store: %v", err)
+	}
+	var orphans []uint64
+	for _, payload := range []string{"stranded by a crash before the manifest rename", "a folded chunk whose cut never committed"} {
+		res, err := st.PutFull([]byte(payload))
+		if err != nil {
 			t.Fatalf("inject orphan: %v", err)
 		}
+		orphans = append(orphans, res.Ref.ID)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("close chunk store: %v", err)
+	}
+	packs, err := filepath.Glob(filepath.Join(chunkDir, "pack-*.pack"))
+	if err != nil || len(packs) == 0 {
+		t.Fatalf("pack glob: %v (%d files)", err, len(packs))
+	}
+	sort.Strings(packs)
+	tail := packs[len(packs)-1]
+	data, err := os.ReadFile(tail)
+	if err != nil {
+		t.Fatalf("read tail pack: %v", err)
+	}
+	data[len(data)-1] ^= 0xff             // the last orphan's last body byte
+	data = append(data, 0x00, 0x00, 0x01) // a record torn inside its length
+	if err := os.WriteFile(tail, data, 0o644); err != nil {
+		t.Fatalf("tear tail pack: %v", err)
 	}
 
 	// Restore ignores the orphans entirely; the tenants come back.
@@ -411,14 +438,14 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 		t.Fatalf("Checkpoint after restore: %v", err)
 	}
 	after := chunkSet(t, chunkDir)
-	for _, name := range orphans {
-		if after[name] {
-			t.Fatalf("orphan %s survived GC", name)
+	for _, id := range orphans {
+		if after[id] {
+			t.Fatalf("orphan %016x survived GC", id)
 		}
 	}
-	for name := range committed {
-		if !after[name] {
-			t.Fatalf("GC deleted referenced chunk %s", name)
+	for id := range committed {
+		if !after[id] {
+			t.Fatalf("GC deleted referenced chunk %016x", id)
 		}
 	}
 }
@@ -441,17 +468,22 @@ func driveTailSparse(t *testing.T, client *Client, tenants []sparseTenant, r int
 	}
 }
 
-func chunkSet(t *testing.T, dir string) map[string]bool {
+// chunkSet lists the chunk IDs committed in a chunk store directory, as a
+// fresh Open of the store sees them.
+func chunkSet(t *testing.T, dir string) map[uint64]bool {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	st, err := ckptstore.Open(dir, 0)
 	if err != nil {
-		t.Fatalf("read chunk dir: %v", err)
+		t.Fatalf("open chunk store: %v", err)
 	}
-	out := map[string]bool{}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".chunk") {
-			out[e.Name()] = true
-		}
+	defer st.Close()
+	ids, err := st.List()
+	if err != nil {
+		t.Fatalf("list chunks: %v", err)
+	}
+	out := make(map[uint64]bool, len(ids))
+	for _, id := range ids {
+		out[id] = true
 	}
 	return out
 }
@@ -459,8 +491,8 @@ func chunkSet(t *testing.T, dir string) map[string]bool {
 // TestCutScalesWithDirtyNotResident is the drain-time bound behind the
 // SIGTERM guarantee: once a universe is chunk-backed, a cut's write work is
 // proportional to the dirty set, not the resident count. The proxy measured
-// is chunk files written — wall-clock would be flaky in CI, file counts are
-// exact — at two universe sizes with the same absolute dirty set.
+// is new chunk IDs in the store — wall-clock would be flaky in CI, chunk
+// counts are exact — at two universe sizes with the same absolute dirty set.
 func TestCutScalesWithDirtyNotResident(t *testing.T) {
 	const dirty = 8
 	written := map[int]int{}
@@ -501,8 +533,8 @@ func TestCutScalesWithDirtyNotResident(t *testing.T) {
 		svc.Close()
 		after := chunkSet(t, filepath.Join(cfg.StateDir, "chunks"))
 		added := 0
-		for name := range after {
-			if !before[name] {
+		for id := range after {
+			if !before[id] {
 				added++
 			}
 		}

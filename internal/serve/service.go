@@ -829,6 +829,9 @@ func (s *Service) Close() {
 		for _, sh := range pl.retired {
 			sh.stop()
 		}
+		if s.store != nil {
+			_ = s.store.Close() // read handles only: every append already landed
+		}
 	})
 }
 
