@@ -110,8 +110,11 @@ func FuzzDecodeBundle(f *testing.F) {
 // FuzzDiskStore drives the pack store with an arbitrary sequence of puts, GCs
 // and reopens, checked step by step against the in-memory pool: the same
 // PutResults, the same GC removals, the same committed set, and every chunk
-// resolving to the same payload. Packs rotate every 128 bytes, so sequences
-// cross pack boundaries, compact the tail and reopen over sealed packs.
+// resolving to the same payload (or, for an orphan whose parent is gone,
+// failing on both). Packs rotate every 128 bytes, so sequences cross pack
+// boundaries, compact the tail and reopen over sealed packs. A reopen
+// re-indexes dead records GC has not yet reclaimed; each must be a chunk put
+// earlier, and the pool takes it back as the orphan it is.
 func FuzzDiskStore(f *testing.F) {
 	f.Add([]byte{0, 5, 'h', 'e', 'l', 'l', 'o', 1, 3, 'a', 'b', 'c', 2, 1, 3, 0, 4, 'w', 'x', 'y', 'z'})
 	f.Add([]byte{0, 30, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9, 2, 0, 3})
@@ -125,6 +128,7 @@ func FuzzDiskStore(f *testing.F) {
 		defer func() { _ = s.Close() }()
 		model := NewMemStore(0)
 		var refs []Ref
+		everPut := map[uint64]bool{}
 		next := func() byte {
 			if len(ops) == 0 {
 				return 0
@@ -157,6 +161,7 @@ func FuzzDiskStore(f *testing.F) {
 					t.Fatalf("put diverges: disk %+v, pool %+v", got, want)
 				}
 				refs = append(refs, got.Ref)
+				everPut[got.Ref.ID] = true
 			case 2:
 				mask := next()
 				var roots []uint64
@@ -192,6 +197,25 @@ func FuzzDiskStore(f *testing.F) {
 				if s, err = openStore(dir, 0, 128); err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
+				ids, err := s.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					if _, ok := model.Get(id); ok {
+						continue
+					}
+					if !everPut[id] {
+						t.Fatalf("reopen indexes chunk %016x that was never put", id)
+					}
+					data, err := s.get(id)
+					if err != nil {
+						t.Fatalf("reading re-indexed dead chunk %016x: %v", id, err)
+					}
+					if err := model.Add(id, data); err != nil {
+						t.Fatalf("pool refuses re-indexed dead chunk %016x: %v", id, err)
+					}
+				}
 			}
 			ids, err := s.List()
 			if err != nil {
@@ -201,13 +225,13 @@ func FuzzDiskStore(f *testing.F) {
 				t.Fatalf("disk store lists %d chunks, pool holds %d", len(ids), model.Len())
 			}
 			for _, id := range ids {
-				got, _, err := s.Resolve(id)
-				if err != nil {
-					t.Fatalf("disk resolve %016x: %v", id, err)
+				if _, ok := model.Get(id); !ok {
+					t.Fatalf("chunk %016x on disk but not in the pool", id)
 				}
-				want, _, err := model.Resolve(id)
-				if err != nil {
-					t.Fatalf("chunk %016x on disk but not in the pool: %v", id, err)
+				got, _, err := s.Resolve(id)
+				want, _, werr := model.Resolve(id)
+				if (err != nil) != (werr != nil) {
+					t.Fatalf("chunk %016x resolves with error %v on disk, %v in the pool", id, err, werr)
 				}
 				if !bytes.Equal(got, want) {
 					t.Fatalf("chunk %016x resolves to %q on disk, %q in the pool", id, got, want)

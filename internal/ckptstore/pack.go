@@ -46,7 +46,7 @@ type Store struct {
 type packFile struct {
 	seg  int
 	f    *os.File // read handle; appends go through the segment log
-	recs int      // records in the file, dead ones and duplicates included
+	size int64    // bytes of complete records, dead ones and duplicates included
 }
 
 const (
@@ -185,8 +185,8 @@ func (s *Store) scanPack(seg int, path string) (int64, error) {
 		if _, dup := s.index[id]; !dup {
 			s.index[id] = makeLoc(slot, off, n)
 		}
-		s.packs[slot].recs++
 		off += int64(recHeaderLen + n)
+		s.packs[slot].size = off
 	}
 }
 
@@ -236,12 +236,13 @@ func (s *Store) dropPack(slot int) error {
 }
 
 // Close releases the store's file handles. The store must not be used
-// afterwards.
+// afterwards; a read after Close reports the chunk missing.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.log.close()
 	s.closePacks()
+	s.index = map[uint64]chunkLoc{}
 	return err
 }
 
@@ -300,7 +301,7 @@ func (s *Store) appendRecord(id uint64, rec []byte) error {
 			return err
 		}
 	}
-	s.packs[s.tail].recs++
+	s.packs[s.tail].size += int64(len(rec))
 	s.index[id] = makeLoc(s.tail, off, len(rec)-recHeaderLen)
 	return nil
 }
@@ -338,11 +339,17 @@ func (s *Store) get(id uint64) ([]byte, error) {
 // them, and removing them is safe at any commit point. Callers run it after
 // the manifests naming roots have committed, with puts quiesced.
 //
-// Every pack holding a record the index does not keep (a dead chunk, or the
-// losing copy of a duplicate) is compacted: its live records are copied one at
-// a time to the tail pack, sealing a dirty tail first, and then the pack is
-// removed. A crash mid-copy leaves identical duplicates, and Open keeps one.
-// Returns the number of chunks removed.
+// Dead chunks leave the index at once. Their bytes are reclaimed pack by
+// pack: a pack at least half of whose bytes are dead (dead chunks, or the
+// losing copies of duplicates) is compacted, its live records copied one at a
+// time to the tail pack, sealing the tail first if it is the one compacted,
+// and then removed. A pack with fewer dead bytes keeps them until later GCs
+// push it over the threshold, so one GC copies no more bytes than it
+// reclaims, however the dead records are spread, and sealed packs stay at
+// least half live. A reopen re-indexes the dead records still on disk; they
+// are orphans no manifest references, and the next GC drops them again. A
+// crash mid-copy leaves identical duplicates, and Open keeps one. Returns the
+// number of chunks removed from the index.
 func (s *Store) GC(roots []uint64) (int, error) {
 	live, err := s.Closure(roots)
 	if err != nil {
@@ -351,18 +358,18 @@ func (s *Store) GC(roots []uint64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	kept := make([]int, len(s.packs))
+	liveBytes := make([]int64, len(s.packs))
 	for id, loc := range s.index {
 		if !live[id] {
 			delete(s.index, id)
 			removed++
 			continue
 		}
-		kept[loc.slot()]++
+		liveBytes[loc.slot()] += int64(recHeaderLen + loc.n())
 	}
 	var dirty []int
 	for slot, p := range s.packs {
-		if p.f != nil && kept[slot] < p.recs {
+		if p.f != nil && p.size > 0 && 2*liveBytes[slot] <= p.size {
 			dirty = append(dirty, slot)
 		}
 	}

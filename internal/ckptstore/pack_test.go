@@ -202,6 +202,25 @@ func TestStoreRefusesLooseChunkFiles(t *testing.T) {
 	}
 }
 
+// TestStoreReadAfterCloseErrors pins that a closed store answers reads with an
+// error rather than indexing into its released pack table.
+func TestStoreReadAfterCloseErrors(t *testing.T) {
+	s, err := openStore(t.TempDir(), 0, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, _ := fillStore(t, s, 8, "closed")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has(refs[0].ID) {
+		t.Fatal("closed store still reports a chunk present")
+	}
+	if _, _, err := s.Resolve(refs[7].ID); err == nil {
+		t.Fatal("closed store resolved a chunk")
+	}
+}
+
 // TestStoreReopenRebuildsIndex writes across several rotated packs, reopens,
 // and checks that the rebuilt index serves every chunk and still dedupes.
 func TestStoreReopenRebuildsIndex(t *testing.T) {
@@ -354,8 +373,9 @@ func TestPackSealedDamageRefused(t *testing.T) {
 }
 
 // TestPackGCCompactsAndCollects checks GC end to end: dead chunks leave the
-// index and the disk, live ones (delta parents included) survive a reopen,
-// and packs holding only live records are left alone.
+// index at once, every pack left on disk is more than half live, live chunks
+// (delta parents included) survive a reopen, and the dead records a reopen
+// re-indexes are dropped again by the next GC without rewriting a pack.
 func TestPackGCCompactsAndCollects(t *testing.T) {
 	dir := t.TempDir()
 	s, err := openStore(dir, 0, 512)
@@ -375,33 +395,22 @@ func TestPackGCCompactsAndCollects(t *testing.T) {
 	if removed != len(want)-len(live) {
 		t.Fatalf("GC removed %d chunks, want %d", removed, len(want)-len(live))
 	}
+	if got := listSet(t, s); len(got) != len(live) {
+		t.Fatalf("store lists %d chunks after GC, want %d live", len(got), len(live))
+	}
 	keep := map[uint64][]byte{}
 	for id := range live {
 		keep[id] = want[id]
 	}
 	checkResolves(t, s, keep, "after GC")
-	// Every surviving pack holds live records only; a second GC is a no-op.
+	checkPacksMostlyLive(t, dir, live)
+	// Nothing new is dead: a second GC removes nothing and rewrites nothing.
 	before := readDir(t, dir)
 	if removed, err := s.GC(roots); err != nil || removed != 0 {
 		t.Fatalf("second GC: removed %d, err %v", removed, err)
 	}
-	if after := readDir(t, dir); len(after) != len(before) {
-		t.Fatalf("a GC with nothing dead rewrote packs: %d files, then %d", len(before), len(after))
-	}
-	var bytesOnDisk int
-	for _, data := range before {
-		bytesOnDisk += len(data)
-	}
-	var liveBytes int
-	for id := range live {
-		data, err := s.get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		liveBytes += recHeaderLen + len(data)
-	}
-	if bytesOnDisk != liveBytes {
-		t.Fatalf("packs hold %d bytes after GC, live records are %d", bytesOnDisk, liveBytes)
+	if after := readDir(t, dir); !sameFiles(before, after) {
+		t.Fatal("a GC with nothing newly dead rewrote packs")
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -411,10 +420,148 @@ func TestPackGCCompactsAndCollects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := listSet(t, s2); len(got) != len(live) {
-		t.Fatalf("reopened store lists %d chunks, want %d live", len(got), len(live))
+	listed := listSet(t, s2)
+	for id := range live {
+		if !listed[id] {
+			t.Fatalf("reopened store lost live chunk %016x", id)
+		}
+	}
+	for id := range listed {
+		if _, ok := want[id]; !ok {
+			t.Fatalf("reopened store lists chunk %016x that was never put", id)
+		}
 	}
 	checkResolves(t, s2, keep, "after GC and reopen")
+	removed, err = s2.GC(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != len(listed)-len(live) || len(listSet(t, s2)) != len(live) {
+		t.Fatalf("GC after reopen removed %d of %d listed, want %d live left", removed, len(listed), len(live))
+	}
+	if after := readDir(t, dir); !sameFiles(before, after) {
+		t.Fatal("dropping re-indexed dead records rewrote packs")
+	}
+}
+
+// TestPackGCCopiesNoMoreThanItReclaims pins the cost bound of GC on a store
+// whose dead records are spread over many packs, as folded delta chains leave
+// them in a long-running paging server. With a few dead chains in most packs,
+// GC copies nothing; once most chains die, it compacts the packs that are at
+// least half dead and copies fewer bytes than it reclaims.
+func TestPackGCCopiesNoMoreThanItReclaims(t *testing.T) {
+	dir := t.TempDir()
+	s, err := openStore(dir, 0, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	refs, _ := fillStore(t, s, 640, "spread")
+	chainRoots := func(keep func(chain int) bool) []uint64 {
+		var roots []uint64
+		for c := 0; 4*c+3 < len(refs); c++ {
+			if keep(c) {
+				roots = append(roots, refs[4*c+3].ID)
+			}
+		}
+		return roots
+	}
+	gc := func(roots []uint64) (copied, reclaimed int64, live map[uint64]bool) {
+		t.Helper()
+		live, err := s.Closure(roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := readDir(t, dir)
+		if _, err := s.GC(roots); err != nil {
+			t.Fatal(err)
+		}
+		after := readDir(t, dir)
+		for name, data := range after {
+			copied += int64(len(data) - len(before[name]))
+		}
+		for name, data := range before {
+			if _, ok := after[name]; !ok {
+				reclaimed += int64(len(data))
+			}
+		}
+		return copied, reclaimed, live
+	}
+
+	// One chain in eight dies: dead records in most packs, none half dead.
+	roots := chainRoots(func(c int) bool { return c%8 != 5 })
+	live, err := s.Closure(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packs := packPaths(t, dir)
+	var spread int
+	var copyAllDirty int64 // what compacting every pack holding a dead record would copy
+	for _, p := range packs {
+		var liveBytes int64
+		dead := false
+		for _, r := range readPackRecords(t, p) {
+			if live[r.id] {
+				liveBytes += r.end - r.off
+			} else {
+				dead = true
+			}
+		}
+		if dead {
+			spread++
+			copyAllDirty += liveBytes
+		}
+	}
+	if len(packs) < 16 || 2*spread < len(packs) {
+		t.Fatalf("fixture spreads dead records over %d of %d packs; want most of at least 16", spread, len(packs))
+	}
+	copied, reclaimed, _ := gc(roots)
+	t.Logf("sparse deaths: %d packs, %d hold dead records; copied %d bytes, reclaimed %d (compacting every dirty pack would copy %d)",
+		len(packs), spread, copied, reclaimed, copyAllDirty)
+	if copied != 0 || reclaimed != 0 {
+		t.Fatalf("GC with no pack half dead copied %d bytes and reclaimed %d", copied, reclaimed)
+	}
+
+	// Seven chains in eight die: most packs cross the threshold.
+	roots = chainRoots(func(c int) bool { return c%8 == 0 })
+	copied, reclaimed, live = gc(roots)
+	t.Logf("mass deaths: copied %d bytes, reclaimed %d", copied, reclaimed)
+	if reclaimed == 0 || copied > reclaimed {
+		t.Fatalf("GC copied %d bytes to reclaim %d", copied, reclaimed)
+	}
+	checkPacksMostlyLive(t, dir, live)
+}
+
+// checkPacksMostlyLive asserts the GC invariant that every pack on disk holds
+// more live bytes than dead ones.
+func checkPacksMostlyLive(t *testing.T, dir string, live map[uint64]bool) {
+	t.Helper()
+	for _, p := range packPaths(t, dir) {
+		var size, liveBytes int64
+		seen := map[uint64]bool{}
+		for _, r := range readPackRecords(t, p) {
+			size = r.end
+			if live[r.id] && !seen[r.id] {
+				liveBytes += r.end - r.off
+			}
+			seen[r.id] = true
+		}
+		if 2*liveBytes <= size {
+			t.Fatalf("%s is %d bytes with %d live after GC; it must be more than half live", filepath.Base(p), size, liveBytes)
+		}
+	}
+}
+
+func sameFiles(a, b map[string][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for name, data := range a {
+		if !bytes.Equal(data, b[name]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestPackGCCrashStates enumerates the crash states of a GC copy-forward: the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -356,9 +357,9 @@ func TestLegacyFullStateFallback(t *testing.T) {
 // after a folded chunk lands but before the manifest commits. Both leave pack
 // records no manifest references, and a crash mid-append leaves a torn record
 // after them. Restore must come up from the last committed manifests without
-// ever reading the orphans (their bodies are corrupt, so a read would fail
-// loudly), and the next cut's GC must drop them and keep every committed
-// chunk.
+// ever reading the orphans (each one's body is corrupt, so a read of either
+// would fail loudly), and the next cut's GC must drop them from the store's
+// committed set and keep every committed chunk.
 func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	cfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16,
 		RecordDecisions: true, StateDir: t.TempDir()}
@@ -417,7 +418,19 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read tail pack: %v", err)
 	}
-	data[len(data)-1] ^= 0xff             // the last orphan's last body byte
+	// A pack record is a 4-byte length, the 8-byte chunk ID, then the body.
+	corrupted := 0
+	for off := 0; off+12 <= len(data); {
+		end := off + 12 + int(binary.BigEndian.Uint32(data[off:]))
+		if id := binary.BigEndian.Uint64(data[off+4:]); id == orphans[0] || id == orphans[1] {
+			data[end-1] ^= 0xff // the orphan's last body byte
+			corrupted++
+		}
+		off = end
+	}
+	if corrupted != len(orphans) {
+		t.Fatalf("found %d of %d orphan records in the tail pack", corrupted, len(orphans))
+	}
 	data = append(data, 0x00, 0x00, 0x01) // a record torn inside its length
 	if err := os.WriteFile(tail, data, 0o644); err != nil {
 		t.Fatalf("tear tail pack: %v", err)
@@ -433,11 +446,20 @@ func TestOrphanChunksIgnoredAndCollected(t *testing.T) {
 		t.Fatalf("restored %d tenants, want %d", restored, len(tenants))
 	}
 
-	// The next cut collects them and keeps every referenced chunk.
+	// The next cut collects them and keeps every referenced chunk. GC drops
+	// dead chunks from the live store's index at once; their bytes stay in
+	// the pack until it is half dead, so the store itself is what to ask.
 	if err := svc2.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint after restore: %v", err)
 	}
-	after := chunkSet(t, chunkDir)
+	ids, err := svc2.store.List()
+	if err != nil {
+		t.Fatalf("list chunks: %v", err)
+	}
+	after := map[uint64]bool{}
+	for _, id := range ids {
+		after[id] = true
+	}
 	for _, id := range orphans {
 		if after[id] {
 			t.Fatalf("orphan %016x survived GC", id)
