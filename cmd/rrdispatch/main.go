@@ -61,7 +61,6 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		delta      = fs.Int64("delta", 4, "reconfiguration cost Δ")
 		watermark  = fs.Int("watermark", 1<<16, "per-shard backlog watermark: batches beyond it get 429")
 		record     = fs.Bool("record-decisions", false, "workers keep per-tenant decision streams (and carry them through failovers)")
-		bundles    = fs.Bool("checkpoint-bundles", false, "workers push incremental checkpoint bundles (manifest + changed chunks) instead of full state")
 		heartbeat  = fs.Duration("heartbeat", time.Second, "worker heartbeat interval")
 		missBudget = fs.Int("miss-budget", 3, "heartbeat intervals a worker may miss before its shards fail over")
 		state      = fs.String("state", "", "state dir for checkpoint durability across dispatcher restarts; empty keeps checkpoints in memory only")
@@ -76,12 +75,11 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 
 	d, err := dispatch.New(dispatch.Config{
 		Service: dispatch.ServiceConfig{
-			Shards:            *shards,
-			Resources:         *n,
-			Delta:             *delta,
-			Watermark:         *watermark,
-			RecordDecisions:   *record,
-			CheckpointBundles: *bundles,
+			Shards:          *shards,
+			Resources:       *n,
+			Delta:           *delta,
+			Watermark:       *watermark,
+			RecordDecisions: *record,
 		},
 		HeartbeatEvery: *heartbeat,
 		MissBudget:     *missBudget,

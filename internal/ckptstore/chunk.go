@@ -1,8 +1,7 @@
 // Package ckptstore is the incremental checkpoint store of the serve tier: a
 // content-addressed chunk store with delta encoding, small manifests that
-// reference chunks instead of embedding state, an append-only streaming
-// decision log, and a bundle format for shipping manifests plus missing
-// chunks over the dispatcher wire.
+// reference chunks instead of embedding state, and an append-only streaming
+// decision log.
 //
 // The design mirrors the paper's cost-of-movement framing: a checkpoint cut
 // pays bytes only for tenants whose state actually changed (delta chunks),
@@ -19,8 +18,8 @@ import (
 	"hash/fnv"
 )
 
-// chunkMagic opens every encoded chunk. Distinct from JSON ('{') and from the
-// bundle magic, so a sniffing reader can classify any artifact.
+// chunkMagic opens every encoded chunk. Distinct from JSON ('{'), so a
+// sniffing reader can tell a chunk from a JSON image.
 const chunkMagic = "rrck"
 
 // chunkVersion is the chunk container version.
@@ -132,7 +131,7 @@ func DecodeChunk(data []byte) (*Chunk, error) {
 }
 
 // VerifyChunk checks that encoded chunk bytes decode and carry the claimed
-// content address. Bundles and stores use it so a corrupted or mislabeled
+// content address. Stores use it so a corrupted or mislabeled
 // chunk is refused at the door rather than resolved into tenant state.
 func VerifyChunk(id uint64, data []byte) error {
 	if _, err := DecodeChunk(data); err != nil {

@@ -449,49 +449,6 @@ func TestDecLogTruncateFrom(t *testing.T) {
 	_ = l.Close()
 }
 
-func TestBundleRoundTrip(t *testing.T) {
-	manifest, err := EncodeManifest(&Manifest{
-		Schema: ManifestSchema, Shard: 0, Shards: 2, Round: 3,
-		Tenants: []TenantRef{{Name: "a", Chunk: FormatChunkID(1)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	encA, idA := EncodeFull([]byte("payload-a"))
-	ops := MakeDelta([]byte("payload-a"), []byte("payload-b"))
-	encB, idB := EncodeDelta(idA, ops)
-	enc, err := EncodeBundle(manifest, map[uint64][]byte{idA: encA, idB: encB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsBundle(enc) {
-		t.Fatal("encoded bundle fails the sniff")
-	}
-	if IsBundle(manifest) {
-		t.Fatal("JSON sniffs as a bundle")
-	}
-	b, err := DecodeBundle(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b.Manifest, manifest) || len(b.Chunks) != 2 {
-		t.Fatalf("bundle round-trip: %d chunks", len(b.Chunks))
-	}
-	if !bytes.Equal(b.Chunks[idA], encA) || !bytes.Equal(b.Chunks[idB], encB) {
-		t.Fatal("bundle chunk bytes differ")
-	}
-
-	// A corrupted chunk is refused at decode.
-	bad := append([]byte(nil), enc...)
-	bad[len(bad)-1] ^= 0xff
-	if _, err := DecodeBundle(bad); err == nil {
-		t.Fatal("DecodeBundle accepted a corrupted chunk")
-	}
-	if _, err := DecodeBundle(enc[:len(enc)-4]); err == nil {
-		t.Fatal("DecodeBundle accepted a truncated bundle")
-	}
-}
-
 func TestMemStorePutResolvePrune(t *testing.T) {
 	m := NewMemStore(2)
 	r0, err := m.Put([]byte("state-zero-with-length"), Ref{})
@@ -509,28 +466,64 @@ func TestMemStorePutResolvePrune(t *testing.T) {
 	if err != nil || string(got) != "state-one!-with-length" {
 		t.Fatalf("resolve: %q, %v", got, err)
 	}
-	// Put against a pruned parent falls back to a self-contained full chunk.
-	m.Prune(map[uint64]bool{})
-	if m.Len() != 0 {
-		t.Fatalf("prune left %d chunks", m.Len())
+	// Pruning drops every chunk outside the live set; a put against a
+	// pruned parent fails like the disk store's.
+	m.prune(map[uint64]bool{})
+	if m.size() != 0 {
+		t.Fatalf("prune left %d chunks", m.size())
 	}
-	r2, err := m.Put([]byte("state-two-with-length!"), r1.Ref)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := m.Put([]byte("state-two-with-length!"), r1.Ref); err == nil {
+		t.Fatal("put against a pruned parent succeeded")
 	}
-	if r2.Delta {
-		t.Fatalf("put against pruned parent produced a delta: %+v", r2)
+	// The chain bound folds like the disk store's.
+	r2, err := m.Put([]byte("state-two-with-length!"), Ref{ID: r1.Ref.ID, Chain: 2})
+	if err != nil || !r2.Folded || r2.Delta {
+		t.Fatalf("put at the chain bound: %+v, %v", r2, err)
 	}
-	got, _, err = m.Resolve(r2.Ref.ID)
-	if err != nil || string(got) != "state-two-with-length!" {
-		t.Fatalf("resolve after prune: %q, %v", got, err)
-	}
-	// Add verifies content addresses.
+	// admit verifies content addresses.
 	enc, id := EncodeFull([]byte("x"))
-	if err := m.Add(id+1, enc); err == nil {
-		t.Fatal("Add accepted a mislabeled chunk")
+	if err := m.admit(id+1, enc); err == nil {
+		t.Fatal("admit accepted a mislabeled chunk")
 	}
-	if err := m.Add(id, enc); err != nil {
+	if err := m.admit(id, enc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Pool inspection for the differential tests, which model the disk store's
+// committed set with a MemStore.
+
+// size returns the number of pooled chunks.
+func (m *MemStore) size() int { return len(m.chunks) }
+
+// has reports whether id is pooled.
+func (m *MemStore) has(id uint64) bool {
+	_, ok := m.chunks[id]
+	return ok
+}
+
+// admit adds an encoded chunk under its claimed ID, verifying the content
+// address first.
+func (m *MemStore) admit(id uint64, data []byte) error {
+	if err := VerifyChunk(id, data); err != nil {
+		return err
+	}
+	if !m.has(id) {
+		m.chunks[id] = append([]byte(nil), data...)
+	}
+	return nil
+}
+
+// closure expands roots through delta parents within the pool.
+func (m *MemStore) closure(roots []uint64) (map[uint64]bool, error) {
+	return closureFrom(m.get, roots)
+}
+
+// prune drops every pooled chunk outside live.
+func (m *MemStore) prune(live map[uint64]bool) {
+	for id := range m.chunks {
+		if !live[id] {
+			delete(m.chunks, id)
+		}
 	}
 }

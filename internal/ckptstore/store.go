@@ -84,8 +84,8 @@ func (s *Store) Resolve(id uint64) ([]byte, int, error) {
 }
 
 // resolveFrom walks a chunk's delta chain through an arbitrary fetcher,
-// applying deltas child-last. Shared by the disk store, the in-memory pool,
-// and bundle flattening.
+// applying deltas child-last. Shared by the disk store and the in-memory
+// pool.
 func resolveFrom(get func(uint64) ([]byte, error), id uint64) ([]byte, int, error) {
 	// Collect the chain root-last, bounded against parent cycles.
 	var chain []*Chunk
@@ -159,11 +159,10 @@ func closureFrom(get func(uint64) ([]byte, error), roots []uint64) (map[uint64]b
 	return live, nil
 }
 
-// MemStore is the in-memory chunk pool of the hosted tier: the worker side
-// accumulates cut chunks in one, and the dispatcher merges pushed bundle
-// chunks into another before flattening. Same addressing and chain rules as
-// the disk store, no durability. Not safe for concurrent use; both owners
-// already serialize access (the shard goroutine, the dispatcher mutex).
+// MemStore is an in-memory chunk pool with the disk store's addressing,
+// chain and put rules and no durability: the reference store of the
+// checkpoint benchmarks and of the disk store's differential fuzz. Not safe
+// for concurrent use.
 type MemStore struct {
 	chunks   map[uint64][]byte
 	maxChain int
@@ -178,44 +177,23 @@ func NewMemStore(maxChain int) *MemStore {
 	return &MemStore{chunks: map[uint64][]byte{}, maxChain: maxChain}
 }
 
-// Len returns the number of pooled chunks.
-func (m *MemStore) Len() int { return len(m.chunks) }
-
-// Get returns the encoded bytes of one pooled chunk.
-func (m *MemStore) Get(id uint64) ([]byte, bool) {
-	data, ok := m.chunks[id]
-	return data, ok
-}
-
-// Add admits an encoded chunk under its claimed ID, verifying the content
-// address first.
-func (m *MemStore) Add(id uint64, data []byte) error {
-	if err := VerifyChunk(id, data); err != nil {
-		return err
-	}
-	if _, ok := m.chunks[id]; !ok {
-		m.chunks[id] = append([]byte(nil), data...)
-	}
-	return nil
-}
-
 // Put stores payload in the pool, as a delta against parent when legal and
 // smaller (same policy as Store.Put).
 func (m *MemStore) Put(payload []byte, parent Ref) (PutResult, error) {
 	if parent.ID != 0 && parent.Chain+1 <= m.maxChain {
-		if parentPayload, _, err := m.Resolve(parent.ID); err == nil {
-			ops := MakeDelta(parentPayload, payload)
-			encDelta, deltaID := EncodeDelta(parent.ID, ops)
-			encFull, fullID := EncodeFull(payload)
-			if len(encDelta) < len(encFull) {
-				wrote := m.add(deltaID, encDelta)
-				return PutResult{Ref: Ref{ID: deltaID, Chain: parent.Chain + 1}, Wrote: wrote, Delta: true, Bytes: len(encDelta)}, nil
-			}
-			wrote := m.add(fullID, encFull)
-			return PutResult{Ref: Ref{ID: fullID}, Wrote: wrote, Bytes: len(encFull)}, nil
+		parentPayload, _, err := m.Resolve(parent.ID)
+		if err != nil {
+			return PutResult{}, fmt.Errorf("ckptstore: resolving delta parent: %w", err)
 		}
-		// An unresolvable parent (pruned after an ack reset) falls through to
-		// a self-contained full chunk.
+		ops := MakeDelta(parentPayload, payload)
+		encDelta, deltaID := EncodeDelta(parent.ID, ops)
+		encFull, fullID := EncodeFull(payload)
+		if len(encDelta) < len(encFull) {
+			wrote := m.add(deltaID, encDelta)
+			return PutResult{Ref: Ref{ID: deltaID, Chain: parent.Chain + 1}, Wrote: wrote, Delta: true, Bytes: len(encDelta)}, nil
+		}
+		wrote := m.add(fullID, encFull)
+		return PutResult{Ref: Ref{ID: fullID}, Wrote: wrote, Bytes: len(encFull)}, nil
 	}
 	enc, id := EncodeFull(payload)
 	wrote := m.add(id, enc)
@@ -245,18 +223,4 @@ func (m *MemStore) get(id uint64) ([]byte, error) {
 // Resolve reconstructs the payload pooled under id.
 func (m *MemStore) Resolve(id uint64) ([]byte, int, error) {
 	return resolveFrom(m.get, id)
-}
-
-// Closure expands roots through delta parents within the pool.
-func (m *MemStore) Closure(roots []uint64) (map[uint64]bool, error) {
-	return closureFrom(m.get, roots)
-}
-
-// Prune drops every pooled chunk outside live.
-func (m *MemStore) Prune(live map[uint64]bool) {
-	for id := range m.chunks {
-		if !live[id] {
-			delete(m.chunks, id)
-		}
-	}
 }

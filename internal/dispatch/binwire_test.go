@@ -75,12 +75,18 @@ func registerAndLease(t *testing.T, c *Client, worker string) []LeaseInfo {
 }
 
 // TestCheckpointPushBinaryHTTP pushes a checkpoint through the real HTTP
-// stack with the default (auto) client: the push travels as a binary frame,
-// lands, and a stale-epoch binary push is fenced with the same 409 the JSON
-// path gets — without triggering the JSON fallback.
+// stack with the default client: the push travels as a binary frame, lands,
+// and a stale-epoch binary push is fenced with the same 409 the JSON path
+// gets.
 func TestCheckpointPushBinaryHTTP(t *testing.T) {
 	d, _ := newTestDispatcher(t, testConfig())
-	srv := httptest.NewServer(d.Handler())
+	var binarySeen atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if serve.IsBinaryContent(r.Header.Get("Content-Type")) {
+			binarySeen.Add(1)
+		}
+		d.Handler().ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
 
@@ -92,8 +98,8 @@ func TestCheckpointPushBinaryHTTP(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("binary checkpoint push: %v", err)
 	}
-	if c.jsonLatched.Load() {
-		t.Fatal("auto client latched to JSON against a binary-capable dispatcher")
+	if n := binarySeen.Load(); n != 1 {
+		t.Fatalf("dispatcher saw %d binary frames after one push, want 1", n)
 	}
 	if err := c.PushCheckpoint(&CheckpointPush{
 		Schema: WireSchema, Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch - 1,
@@ -101,8 +107,8 @@ func TestCheckpointPushBinaryHTTP(t *testing.T) {
 	}); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale binary push err=%v, want ErrStale", err)
 	}
-	if c.jsonLatched.Load() {
-		t.Fatal("a 409 fence latched the client to JSON (only decode rejects may)")
+	if n := binarySeen.Load(); n != 2 {
+		t.Fatalf("dispatcher saw %d binary frames after two pushes, want 2", n)
 	}
 	// The landed push is visible in the placement table's round.
 	p, err := c.Placement()
@@ -111,54 +117,5 @@ func TestCheckpointPushBinaryHTTP(t *testing.T) {
 	}
 	if p.Shards[lease.Shard].Round != 1 {
 		t.Fatalf("shard %d stored round %d, want 1", lease.Shard, p.Shards[lease.Shard].Round)
-	}
-}
-
-// TestCheckpointPushFallsBackOnJSONOnlyDispatcher: against a dispatcher that
-// predates the binary frame (emulated by re-labeling frames as JSON so they
-// hit the JSON decoder, exactly as an old build would), the auto client
-// latches and resends as JSON — the checkpoint lands exactly once.
-func TestCheckpointPushFallsBackOnJSONOnlyDispatcher(t *testing.T) {
-	d, _ := newTestDispatcher(t, testConfig())
-	var binarySeen atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if serve.IsBinaryContent(r.Header.Get("Content-Type")) {
-			binarySeen.Add(1)
-			r.Header.Set("Content-Type", "application/json")
-		}
-		d.Handler().ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	held := registerAndLease(t, c, "w1")
-	lease := held[0]
-	push := func(round int64) error {
-		return c.PushCheckpoint(&CheckpointPush{
-			Schema: WireSchema, Worker: "w1", Shard: lease.Shard, Epoch: lease.Epoch,
-			Round: round, Data: json.RawMessage(`{"round":1}`),
-		})
-	}
-	if err := push(1); err != nil {
-		t.Fatalf("push through fallback: %v", err)
-	}
-	if !c.jsonLatched.Load() {
-		t.Fatal("client did not latch to JSON")
-	}
-	if n := binarySeen.Load(); n != 1 {
-		t.Fatalf("old dispatcher saw %d binary frames, want exactly 1", n)
-	}
-	if err := push(2); err != nil {
-		t.Fatalf("post-latch push: %v", err)
-	}
-	if n := binarySeen.Load(); n != 1 {
-		t.Fatalf("latched client sent another binary frame (%d total)", n)
-	}
-	p, err := c.Placement()
-	if err != nil {
-		t.Fatalf("placement: %v", err)
-	}
-	if p.Shards[lease.Shard].Round != 2 {
-		t.Fatalf("shard %d stored round %d, want 2", lease.Shard, p.Shards[lease.Shard].Round)
 	}
 }

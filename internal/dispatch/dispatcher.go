@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rrsched/internal/atomicio"
-	"rrsched/internal/ckptstore"
 	"rrsched/internal/obs"
 	"rrsched/internal/serve"
 )
@@ -62,12 +61,6 @@ type lease struct {
 	revoking bool   // graceful revoke issued; awaiting the final checkpoint
 
 	checkpoint []byte // latest accepted checkpoint (nil = open fresh)
-	// pool absorbs the content-addressed chunks of incremental checkpoint
-	// bundles pushed for this shard (workers running with checkpoint
-	// bundling). Bundles are flattened to legacy checkpoint JSON on arrival,
-	// so everything downstream — persistence, grants, reshards — sees flat
-	// state; the pool only persists un-superseded chunks between pushes.
-	pool *ckptstore.MemStore
 	// deadSinceNs is non-zero while the shard awaits reassignment after its
 	// holder died; cleared (and observed into the failover-latency histogram)
 	// at the regrant.
@@ -373,8 +366,7 @@ var errStaleEpoch = fmt.Errorf("dispatch: stale lease epoch")
 // storeCheckpoint accepts a checkpoint push: the freshest state of one shard,
 // fenced by lease epoch. A final push on a revoking lease completes the
 // graceful handoff and frees the shard for regranting. An accepted push's
-// Data (or its flattened bundle) becomes the stored checkpoint without a
-// copy; see CheckpointPush.Data.
+// Data becomes the stored checkpoint without a copy; see CheckpointPush.Data.
 func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -387,22 +379,7 @@ func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 		return fmt.Errorf("%w: shard %d epoch %d from %q, lease is epoch %d held by %q",
 			errStaleEpoch, req.Shard, req.Epoch, req.Worker, l.epoch, l.worker)
 	}
-	data := req.Data
-	if ckptstore.IsBundle(data) {
-		// An incremental bundle: absorb its chunks and flatten to legacy
-		// checkpoint JSON. A failure (e.g. a reference to a chunk a restarted
-		// dispatcher no longer holds) rejects the push — the worker resets its
-		// acks and resends the full closure.
-		if l.pool == nil {
-			l.pool = ckptstore.NewMemStore(0)
-		}
-		flat, err := serve.FlattenBundle(data, l.pool)
-		if err != nil {
-			return fmt.Errorf("dispatch: shard %d bundle: %w", req.Shard, err)
-		}
-		data = flat
-	}
-	l.checkpoint = data
+	l.checkpoint = req.Data
 	l.round = req.Round
 	d.met.Checkpoints.Inc()
 	d.met.CheckpointBytes.Observe(int64(len(req.Data)))

@@ -21,8 +21,7 @@ type DriverConfig struct {
 	// RetryEvery is the wait between attempts. Default 100ms.
 	RetryEvery time.Duration
 	// Wire selects the wire format the driver's per-worker serve clients
-	// speak. The zero value (WireAuto) tries binary and falls back to JSON
-	// per worker, so mixed fleets mid-upgrade keep working.
+	// speak. The zero value is WireBinary.
 	Wire serve.WireMode
 }
 

@@ -48,11 +48,6 @@ type ServiceConfig struct {
 	// with histories embedded in checkpoints so they survive failover
 	// (serve.Config.CheckpointDecisions). Determinism tests depend on it.
 	RecordDecisions bool `json:"record_decisions,omitempty"`
-	// CheckpointBundles makes workers push incremental checkpoint bundles
-	// (manifest + unacknowledged content-addressed chunks) instead of flat
-	// checkpoint JSON. The dispatcher flattens on arrival, so stored state is
-	// identical either way; the wire cost drops to what changed.
-	CheckpointBundles bool `json:"checkpoint_bundles,omitempty"`
 }
 
 func (c ServiceConfig) validate() error {
@@ -388,6 +383,5 @@ func (c ServiceConfig) serveConfig() serve.Config {
 		Hosted:              true,
 		RecordDecisions:     c.RecordDecisions,
 		CheckpointDecisions: c.RecordDecisions,
-		CheckpointBundles:   c.CheckpointBundles,
 	}
 }

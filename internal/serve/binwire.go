@@ -24,8 +24,8 @@ const WireSchemaV2 = "rrserve/v2"
 // with ContentTypeBinary carries a binary frame; a request with any other
 // (or no) Content-Type is decoded as JSON, which keeps old clients working
 // unchanged. A response is binary only when the request's Accept includes
-// ContentTypeBinary. Error responses are always JSON (ErrorResponse): errors
-// are for humans and fallback logic, and must survive a codec mismatch.
+// ContentTypeBinary. Error responses are always JSON (ErrorResponse), so they
+// stay readable across a codec mismatch.
 const (
 	ContentTypeJSON   = "application/json"
 	ContentTypeBinary = "application/x-rrserve-bin"

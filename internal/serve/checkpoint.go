@@ -9,7 +9,8 @@ import (
 	"rrsched/internal/stream"
 )
 
-// StateSchema versions the per-shard checkpoint files written on drain.
+// StateSchema versions the flat per-shard checkpoint image (hosted pushes,
+// close and SnapshotShard; the dispatcher stores it as pushed).
 const StateSchema = "rrserve-state/v1"
 
 // shardCheckpoint is the JSON image of one shard: the next round, and for
@@ -19,7 +20,7 @@ const StateSchema = "rrserve-state/v1"
 //
 // Images are written as compact JSON, tenant snapshots included
 // (stream.Scheduler.AppendSnapshot): they travel machine to machine on every
-// hosted tick, sync, close and drain. stream.Scheduler.Snapshot is the
+// hosted tick, sync and close. stream.Scheduler.Snapshot is the
 // indented debug view of the same state. Restore accepts either spacing, so
 // indented images written by older builds still restore.
 type shardCheckpoint struct {

@@ -16,9 +16,9 @@ import (
 // This file is the serve tier's side of the incremental checkpoint store:
 // delta cuts (only dirty tenants are re-serialized), cold-tenant paging
 // (quiescent tenants evict to the chunk store and fault back in on their next
-// submission), the streaming decision log, and the hosted-tier bundle
-// protocol. The disk formats live in internal/ckptstore; this file owns the
-// mapping between shard state and those formats.
+// submission), and the streaming decision log. The disk formats live in
+// internal/ckptstore; this file owns the mapping between shard state and
+// those formats.
 
 // tenantChunkPayload is what a tenant state chunk holds: the tenant's
 // checkpoint image plus the round it was cut at. The round must travel inside
@@ -86,21 +86,15 @@ func (sh *shard) encodeTenantChunk(tn *tenant) ([]byte, error) {
 	return json.Marshal(tenantChunkPayload{Round: sh.round, Tenant: tcp})
 }
 
-// putTenantChunk commits a tenant's current state to the chunk store (disk in
-// classic mode, the in-memory bundle pool in hosted mode), as a delta against
-// the tenant's previous chunk when that is smaller, and updates the tenant's
-// reference and the chunk metrics.
+// putTenantChunk commits a tenant's current state to the chunk store, as a
+// delta against the tenant's previous chunk when that is smaller, and updates
+// the tenant's reference and the chunk metrics.
 func (sh *shard) putTenantChunk(tn *tenant) error {
 	payload, err := sh.encodeTenantChunk(tn)
 	if err != nil {
 		return err
 	}
-	var res ckptstore.PutResult
-	if sh.store != nil {
-		res, err = sh.store.Put(payload, tn.chunk)
-	} else {
-		res, err = sh.pool.Put(payload, tn.chunk)
-	}
+	res, err := sh.store.Put(payload, tn.chunk)
 	if err != nil {
 		return fmt.Errorf("serve: shard %d tenant %q chunk: %w", sh.idx, tn.name, err)
 	}
@@ -416,11 +410,11 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 	return nil
 }
 
-// restoreManifests loads an incremental checkpoint set, if one exists.
-// Mirrors the legacy restore's contract: all manifests or none, set-internal
-// agreement on shards/round/epoch, and a count mismatch with the current
-// configuration re-routes references through the current ring instead of
-// refusing. Returns found=false when the state dir holds no manifests.
+// restoreManifests loads an incremental checkpoint set, if one exists: all
+// manifests or none, set-internal agreement on shards/round/epoch, and a
+// count mismatch with the current configuration re-routes references through
+// the current ring instead of refusing. Returns found=false when the state
+// dir holds no manifests.
 func (s *Service) restoreManifests(pl *placement) (restored int, resharded, found bool, err error) {
 	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "manifest-*.json"))
 	if err != nil {

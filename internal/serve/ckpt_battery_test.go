@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"rrsched/internal/ckptstore"
@@ -241,115 +243,179 @@ func shardManifestName(i int) string {
 	return fmt.Sprintf("manifest-%04d.json", i)
 }
 
-// TestLegacyFullStateFallback pins the upgrade path: a state dir holding only
-// the old per-shard full-state files (shard-*.json, as previous releases and
-// the hosted tier write them) must restore byte-for-byte — same round, same
-// tenants, same decision history — and the next checkpoint must replace the
-// legacy files with manifests.
-func TestLegacyFullStateFallback(t *testing.T) {
-	const cutRound, totalRounds = 17, 45
+// TestFullStateLayoutRefused pins the boot rule for the older full-state
+// layout: a state dir holding per-shard shard-*.json files (written here from
+// SnapshotShard, the real writer of that format) is refused at New with an
+// error naming the layout, whether or not a manifest set sits beside them, and
+// every file is left in place byte for byte. Booting past them would silently
+// start the service empty.
+func TestFullStateLayoutRefused(t *testing.T) {
+	const cutRound = 9
 	tenants := detFixture(t, 42)
+	base := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true}
 
-	// Uninterrupted baseline for the final stream comparison.
-	baseCfg := Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true}
-	baseSvc, _, err := New(baseCfg)
-	if err != nil {
-		t.Fatalf("baseline New: %v", err)
-	}
-	defer baseSvc.Close()
-	baseSrv := httptest.NewServer(baseSvc.Handler())
-	defer baseSrv.Close()
-	baseClient := NewClient(baseSrv.URL)
-	driveService(t, baseClient, tenants, totalRounds)
-
-	// Incarnation 1 is hosted with embedded decision history — its CloseShard
-	// bytes ARE the legacy full-state format, so the fixture set is produced
-	// by the real writer, not handcrafted JSON.
-	hostedCfg := baseCfg
-	hostedCfg.Hosted = true
-	hostedCfg.CheckpointDecisions = true
-	svc1, _, err := New(hostedCfg)
-	if err != nil {
-		t.Fatalf("hosted New: %v", err)
-	}
-	for i := 0; i < hostedCfg.Shards; i++ {
-		if _, err := svc1.OpenShard(i, nil); err != nil {
-			t.Fatalf("OpenShard(%d): %v", i, err)
+	// fullStateDir writes one shard-*.json per shard of a service driven to
+	// cutRound; with manifests, the same service also commits a manifest set.
+	fullStateDir := func(t *testing.T, manifests bool) string {
+		t.Helper()
+		dir := t.TempDir()
+		cfg := base
+		if manifests {
+			cfg.StateDir = dir
 		}
+		svc, _, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer svc.Close()
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		driveService(t, NewClient(srv.URL), tenants, cutRound)
+		if manifests {
+			if err := svc.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		}
+		for i := 0; i < cfg.Shards; i++ {
+			data, err := svc.SnapshotShard(i)
+			if err != nil {
+				t.Fatalf("SnapshotShard(%d): %v", i, err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, shardStateName(i)), data, 0o644); err != nil {
+				t.Fatalf("write full-state file: %v", err)
+			}
+		}
+		return dir
+	}
+
+	for _, manifests := range []bool{false, true} {
+		t.Run(fmt.Sprintf("manifests=%v", manifests), func(t *testing.T) {
+			dir := fullStateDir(t, manifests)
+			before := dirFiles(t, dir)
+			if manifests {
+				if _, ok := before[shardManifestName(0)]; !ok {
+					t.Fatalf("fixture has no manifest set: %v", before)
+				}
+			}
+			cfg := base
+			cfg.StateDir = dir
+			svc, _, err := New(cfg)
+			if err == nil {
+				svc.Close()
+				t.Fatal("New booted on a state dir holding shard-*.json files")
+			}
+			if !strings.Contains(err.Error(), "shard-*.json") || !strings.Contains(err.Error(), shardStateName(0)) {
+				t.Fatalf("refusal %q does not name the full-state layout", err)
+			}
+			after := dirFiles(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("refused boot changed the state dir: %d files before, %d after", len(before), len(after))
+			}
+			for name, data := range before {
+				if !bytes.Equal(after[name], data) {
+					t.Fatalf("refused boot changed %s", name)
+				}
+			}
+		})
+	}
+}
+
+// TestDecLogsWipedWithoutManifest pins the rule for decision logs no manifest
+// commits: a durable recording service that wrote logs but never cut a
+// checkpoint reboots empty with every log record gone, since those records
+// describe rounds no restore can reach. The reboot uses fewer shards, so the
+// logs of shards beyond the new pool must go too, not only the ones the new
+// pool reopens and rolls back.
+func TestDecLogsWipedWithoutManifest(t *testing.T) {
+	tenants := detFixture(t, 7)
+	cfg := Config{Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true, StateDir: t.TempDir()}
+	svc1, _, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
 	srv1 := httptest.NewServer(svc1.Handler())
-	client1 := NewClient(srv1.URL)
-	driveService(t, client1, tenants, cutRound)
-	stateDir := t.TempDir()
-	for i := 0; i < hostedCfg.Shards; i++ {
-		data, err := svc1.CloseShard(i)
-		if err != nil {
-			t.Fatalf("CloseShard(%d): %v", i, err)
-		}
-		if err := os.WriteFile(filepath.Join(stateDir, shardStateName(i)), data, 0o644); err != nil {
-			t.Fatalf("write legacy file: %v", err)
-		}
-	}
+	driveService(t, NewClient(srv1.URL), tenants, 12)
 	srv1.Close()
 	svc1.Close()
+	if n := decLogRecords(t, cfg.StateDir); n == 0 {
+		t.Fatal("fixture wrote no decision-log records")
+	}
+	if m, _ := filepath.Glob(filepath.Join(cfg.StateDir, "manifest-*.json")); len(m) != 0 {
+		t.Fatalf("fixture committed manifests: %v", m)
+	}
 
-	// Incarnation 2: a classic durable service restores through the legacy
-	// path and finishes the run.
-	cfg2 := baseCfg
-	cfg2.StateDir = stateDir
-	svc2, restored, err := New(cfg2)
+	cfg.Shards = 2
+	svc2, restored, err := New(cfg)
 	if err != nil {
-		t.Fatalf("legacy restore New: %v", err)
-	}
-	defer svc2.Close()
-	if restored != len(tenants) {
-		t.Fatalf("restored %d tenants from legacy set, want %d", restored, len(tenants))
-	}
-	if svc2.Round() != cutRound {
-		t.Fatalf("legacy restore at round %d, want %d", svc2.Round(), cutRound)
+		t.Fatalf("reboot New: %v", err)
 	}
 	srv2 := httptest.NewServer(svc2.Handler())
-	defer srv2.Close()
 	client2 := NewClient(srv2.URL)
-	driveTail(t, client2, tenants, cutRound, totalRounds)
+	if restored != 0 || svc2.Round() != 0 {
+		t.Fatalf("reboot restored %d tenants at round %d, want 0 at 0", restored, svc2.Round())
+	}
+	if _, err := client2.Decisions(tenants[0].name); err == nil {
+		t.Fatalf("tenant %s still serves decisions after the wipe", tenants[0].name)
+	}
+	srv2.Close()
+	svc2.Close()
+	if n := decLogRecords(t, cfg.StateDir); n != 0 {
+		t.Fatalf("%d decision-log records survived a boot with no manifest", n)
+	}
+}
 
-	// Full history: the embedded legacy decisions seeded the decision log, so
-	// every stream matches the uninterrupted baseline byte for byte.
-	for _, tn := range tenants {
-		got, err := client2.Decisions(tn.name)
+// dirFiles reads every regular file under dir, keyed by slash path relative
+// to dir.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("restored Decisions(%s): %v", tn.name, err)
+			return err
 		}
-		want, err := baseClient.Decisions(tn.name)
+		rel, err := filepath.Rel(dir, path)
 		if err != nil {
-			t.Fatalf("baseline Decisions(%s): %v", tn.name, err)
+			return err
 		}
-		a, err := MarshalResponse(got.Decisions)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		b, err := MarshalResponse(want.Decisions)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("tenant %s: legacy restore diverges from baseline\ngot:  %s\nwant: %s",
-				tn.name, excerpt(a, b), excerpt(b, a))
-		}
+		files[filepath.ToSlash(rel)] = data
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading %s: %v", dir, err)
 	}
+	return files
+}
 
-	// The next cut upgrades the layout: manifests in, legacy files out.
-	if err := svc2.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint after legacy restore: %v", err)
+// decLogRecords counts the records in every shard decision log under
+// stateDir, including logs of shards beyond the current pool.
+func decLogRecords(t *testing.T, stateDir string) int {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(stateDir, "declog", "shard-*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m, _ := filepath.Glob(filepath.Join(stateDir, "shard-*.json")); len(m) != 0 {
-		t.Fatalf("legacy files survived the first incremental cut: %v", m)
-	}
-	for i := 0; i < cfg2.Shards; i++ {
-		if _, err := os.Stat(filepath.Join(stateDir, shardManifestName(i))); err != nil {
-			t.Fatalf("missing manifest %d after upgrade cut: %v", i, err)
+	n := 0
+	for _, dir := range dirs {
+		l, err := ckptstore.OpenDecLog(dir, 0)
+		if err != nil {
+			t.Fatalf("OpenDecLog(%s): %v", dir, err)
+		}
+		err = l.ReadAll(func(string, ckptstore.LogRecord) error {
+			n++
+			return nil
+		})
+		if cerr := l.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("reading decision log %s: %v", dir, err)
 		}
 	}
+	return n
 }
 
 // TestOrphanChunksIgnoredAndCollected simulates the two torn-cut crash
@@ -577,7 +643,8 @@ func tenantName(i int) string {
 	return "bulk-" + string(rune('a'+i/676%26)) + string(rune('a'+i/26%26)) + string(rune('a'+i%26))
 }
 
-// shardStateName is a legacy full-state checkpoint's file name.
+// shardStateName is the file name of one shard in the older full-state
+// checkpoint layout.
 func shardStateName(i int) string {
 	return fmt.Sprintf("shard-%04d.json", i)
 }

@@ -257,9 +257,8 @@ func (s *Service) handleTick(w http.ResponseWriter, r *http.Request) {
 		}
 		shard = parsed
 	}
-	// A binary tick carries the same parameters as a request frame; the v2
-	// client sends both (query for old servers, frame for new), so the frame
-	// is authoritative here when present.
+	// A binary tick carries the same parameters as a request frame; the
+	// client sends both, and the frame is authoritative when present.
 	if IsBinaryContent(r.Header.Get("Content-Type")) {
 		body, err := io.ReadAll(io.LimitReader(r.Body, 1024))
 		if err != nil {

@@ -609,9 +609,9 @@ func (sh *shard) handleRemove(names []string) {
 // ReshardCheckpoints transforms a complete checkpoint set taken under one
 // shard count into an equivalent set for newShards shards: every tenant is
 // re-routed through the newShards-ring, rounds are preserved, and the
-// placement epoch is bumped past the input's. The boot-restore path uses it
-// to accept resharded state, and the dispatcher uses it to resize a hosted
-// fleet between rounds.
+// placement epoch is bumped past the input's. The dispatcher, which stores
+// flat checkpoints, uses it to resize a hosted fleet between rounds and to
+// boot on a checkpoint set taken under another shard count.
 func ReshardCheckpoints(old [][]byte, newShards int) ([][]byte, error) {
 	if newShards < 1 || newShards > MaxShards {
 		return nil, fmt.Errorf("serve: reshard to %d shards out of range (1..%d)", newShards, MaxShards)

@@ -45,8 +45,8 @@ type Config struct {
 	// durability. Checkpoints are incremental: tenant state lives in a
 	// content-addressed chunk store (StateDir/chunks) referenced from small
 	// per-shard manifests, so a cut pays bytes only for tenants that changed
-	// since the last one. Legacy full-state checkpoint sets (shard-*.json)
-	// restore unchanged.
+	// since the last one. A dir holding full-state shard-*.json files, the
+	// layout of older builds, is refused at New.
 	StateDir string
 	// EvictAfter pages quiescent tenants out of memory: a tenant with no
 	// queued or inflight work whose last activity is at least EvictAfter
@@ -59,12 +59,6 @@ type Config struct {
 	// a tenant's next delta cut is folded back into a full chunk. Zero
 	// selects ckptstore.DefaultMaxChain.
 	MaxChunkChain int
-	// CheckpointBundles switches OnShardCheckpoint payloads from flat
-	// checkpoint JSON to incremental checkpoint bundles (manifest plus the
-	// chunks the receiver has not acknowledged), so steady-state pushes carry
-	// only dirty tenants' deltas. Hosted mode only; the dispatcher sniffs the
-	// payload and flattens bundles back to checkpoint JSON.
-	CheckpointBundles bool
 	// Hosted switches the service into hosted-shard mode, the worker side of
 	// the dispatcher/worker tier: shards start closed and are opened and
 	// closed per lease (OpenShard/CloseShard), submissions to closed shards
@@ -184,9 +178,6 @@ func (cfg Config) validate() error {
 	}
 	if cfg.MaxChunkChain < 0 {
 		return fmt.Errorf("serve: negative max chunk chain %d", cfg.MaxChunkChain)
-	}
-	if cfg.CheckpointBundles && !cfg.Hosted {
-		return fmt.Errorf("serve: CheckpointBundles requires hosted mode")
 	}
 	if cfg.ReshardBudget < 0 {
 		return fmt.Errorf("serve: negative reshard budget %d", cfg.ReshardBudget)
@@ -333,6 +324,9 @@ func New(cfg Config) (svc *Service, restored int, err error) {
 	}
 	s.pl.Store(pl)
 	if cfg.StateDir != "" {
+		if err := refuseFullStateFiles(cfg.StateDir); err != nil {
+			return nil, 0, err
+		}
 		s.store, err = ckptstore.Open(filepath.Join(cfg.StateDir, "chunks"), cfg.MaxChunkChain)
 		if err != nil {
 			return nil, 0, err
@@ -359,21 +353,14 @@ func (cfg Config) logMode() bool {
 	return cfg.StateDir != "" && cfg.RecordDecisions && !cfg.Hosted
 }
 
-// restore loads a previous incarnation's state from cfg.StateDir, if present.
-// Incremental manifests (manifest-*.json referencing the chunk store) take
-// precedence; a state dir holding only legacy full-state files (shard-*.json)
-// restores through the unchanged legacy path. In log mode the per-shard
-// decision logs are then opened and rolled back to the restored round.
+// restore loads a previous incarnation's state from cfg.StateDir: the
+// incremental manifests (manifest-*.json referencing the chunk store), if
+// any. In log mode the per-shard decision logs are then opened and rolled
+// back to the restored round.
 func (s *Service) restore(pl *placement) (int, error) {
 	restored, resharded, found, err := s.restoreManifests(pl)
 	if err != nil {
 		return 0, err
-	}
-	if !found {
-		restored, err = s.restoreLegacy(pl)
-		if err != nil {
-			return 0, err
-		}
 	}
 	if s.cfg.logMode() {
 		if err := s.setupDecLogs(pl, resharded, !found); err != nil {
@@ -383,82 +370,22 @@ func (s *Service) restore(pl *placement) (int, error) {
 	return restored, nil
 }
 
-// restoreLegacy loads per-shard full-state checkpoint files, if present.
-// Either the full checkpoint set exists or none of it: a partial state dir
-// means a failed or foreign checkpoint, and resuming from it would silently
-// lose tenants. The set's own shards count is authoritative — when it
-// differs from the current configuration, ReshardCheckpoints re-routes every
-// tenant through the current ring under a bumped placement epoch.
-func (s *Service) restoreLegacy(pl *placement) (int, error) {
-	files, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "shard-*.json"))
+// refuseFullStateFiles rejects a state dir holding per-shard full-state
+// checkpoint files (shard-*.json), the layout older builds wrote. No build
+// restores them any more; booting past them would silently start empty.
+func refuseFullStateFiles(dir string) error {
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.json"))
 	if err != nil {
-		return 0, fmt.Errorf("serve: probing state dir: %w", err)
+		return fmt.Errorf("serve: probing state dir: %w", err)
 	}
-	if len(files) == 0 {
-		return 0, nil
+	if len(files) > 0 {
+		return fmt.Errorf("serve: %s holds %s from the older full-state shard-*.json checkpoint layout; this build restores only manifest-*.json sets",
+			dir, filepath.Base(files[0]))
 	}
-	// Decode the whole set first: the files agree on their own shard count,
-	// round, and placement epoch, and indices cover 0..shards-1 exactly.
-	datas := make([][]byte, 0, len(files))
-	cps := make([]*shardCheckpoint, 0, len(files))
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return 0, fmt.Errorf("serve: reading %s: %w", f, err)
-		}
-		cp, err := decodeShardCheckpoint(data)
-		if err != nil {
-			return 0, fmt.Errorf("serve: %s: %w", f, err)
-		}
-		datas = append(datas, data)
-		cps = append(cps, cp)
-	}
-	want := cps[0].Shards
-	if len(files) != want {
-		return 0, fmt.Errorf("serve: state dir %s has %d of %d shard files; refusing a partial restore",
-			s.cfg.StateDir, len(files), want)
-	}
-	byIdx := make([][]byte, want)
-	for i, cp := range cps {
-		if cp.Shards != want {
-			return 0, fmt.Errorf("serve: checkpoint shard counts diverge (%d vs %d)", cp.Shards, want)
-		}
-		if cp.Round != cps[0].Round {
-			return 0, fmt.Errorf("serve: shard rounds diverge in checkpoint (%d vs %d); shards tick in lockstep", cp.Round, cps[0].Round)
-		}
-		if cp.PlacementEpoch != cps[0].PlacementEpoch {
-			return 0, fmt.Errorf("serve: placement epochs diverge in checkpoint (%d vs %d)", cp.PlacementEpoch, cps[0].PlacementEpoch)
-		}
-		if byIdx[cp.Shard] != nil {
-			return 0, fmt.Errorf("serve: state dir repeats shard %d", cp.Shard)
-		}
-		byIdx[cp.Shard] = datas[i]
-	}
-	if want != s.cfg.Shards {
-		// The set was taken under a different shard count: re-route every
-		// tenant through the current ring. The transform bumps the placement
-		// epoch past the checkpointed one, so clients that pinned the old
-		// epoch are told to re-resolve.
-		byIdx, err = ReshardCheckpoints(byIdx, s.cfg.Shards)
-		if err != nil {
-			return 0, fmt.Errorf("serve: re-routing %d-shard checkpoint set into %d shards: %w", want, s.cfg.Shards, err)
-		}
-	}
-	restored := 0
-	for i, sh := range pl.shards {
-		if err := sh.restoreShard(byIdx[i], pl.ring); err != nil {
-			return 0, fmt.Errorf("serve: shard %d: %w", i, err)
-		}
-		restored += len(sh.tenants)
-	}
-	pl.epoch = pl.shards[0].epoch
-	s.round.Store(pl.shards[0].round)
-	return restored, nil
+	return nil
 }
 
-// shardManifestPath is one shard's incremental checkpoint manifest. The name
-// deliberately does not match the legacy shard-*.json glob, so the two
-// formats coexist in one state dir without confusing either restore path.
+// shardManifestPath is one shard's incremental checkpoint manifest.
 func (s *Service) shardManifestPath(i int) string {
 	return filepath.Join(s.cfg.StateDir, fmt.Sprintf("manifest-%04d.json", i))
 }
@@ -719,7 +646,7 @@ func (s *Service) BeginDrain() {
 // manifest (written atomically via rename). Clean tenants reuse their prior
 // chunk references and evicted tenants commit as stubs, so a steady-state cut
 // costs bytes proportional to what changed, not to the tenant population.
-// After the manifests commit, legacy full-state files and orphan chunks (the
+// After the manifests commit, stale manifests and orphan chunks (the
 // strandings of any earlier crash) are removed. Safe to call live: the round
 // barrier is held for the whole cut, so it lands exactly between rounds.
 func (s *Service) Checkpoint() error {
@@ -748,18 +675,13 @@ func (s *Service) Checkpoint() error {
 		roots = append(roots, res.roots...)
 	}
 	// The manifests are committed; everything else in the state dir is now
-	// redundant. Remove legacy full-state files (this incarnation's restores
-	// go through the manifests), manifests of shards a merge removed, and
-	// decision-log dirs beyond the current pool.
-	legacy, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "shard-*.json"))
-	if err != nil {
-		return fmt.Errorf("serve: probing state dir: %w", err)
-	}
+	// redundant. Remove manifests of shards a merge removed and decision-log
+	// dirs beyond the current pool.
 	stale, err := filepath.Glob(filepath.Join(s.cfg.StateDir, "manifest-*.json"))
 	if err != nil {
 		return fmt.Errorf("serve: probing state dir: %w", err)
 	}
-	for _, f := range append(legacy, stale...) {
+	for _, f := range stale {
 		keep := false
 		for i := range pl.shards {
 			if f == s.shardManifestPath(i) {

@@ -182,20 +182,16 @@ type shard struct {
 	classBacklog []int
 
 	// Incremental checkpoint state. store is the durable on-disk chunk store
-	// (classic service with a StateDir); pool/acked/lastClosure implement the
-	// hosted bundle protocol (Config.CheckpointBundles). declog is the shard's
-	// streaming decision log in log mode; an append failure is stashed in
+	// (classic service with a StateDir). declog is the shard's streaming
+	// decision log in log mode; an append failure is stashed in
 	// declogErr and surfaced at the next cut or decisions read. evicted holds
 	// stubs for cold tenants paged out to the chunk store; dirtyCount counts
 	// resident tenants with dirty set.
-	store       *ckptstore.Store
-	declog      *ckptstore.DecLog
-	declogErr   error
-	evicted     map[string]evictedStub
-	dirtyCount  int
-	pool        *ckptstore.MemStore
-	acked       map[uint64]bool
-	lastClosure map[uint64]bool
+	store      *ckptstore.Store
+	declog     *ckptstore.DecLog
+	declogErr  error
+	evicted    map[string]evictedStub
+	dirtyCount int
 }
 
 // statusWrongPlacement is the internal submitResult status for a command
@@ -491,6 +487,22 @@ func (sh *shard) handleSelfTick(n int) selfTickResult {
 	return selfTickResult{round: sh.round}
 }
 
+// offerCheckpoint hands a fresh flat checkpoint of the shard to
+// Config.OnShardCheckpoint. No-op without a hook.
+func (sh *shard) offerCheckpoint() error {
+	if sh.cfg.OnShardCheckpoint == nil {
+		return nil
+	}
+	data, err := sh.checkpoint()
+	if err != nil {
+		return err
+	}
+	if err := sh.cfg.OnShardCheckpoint(sh.idx, sh.round, data); err != nil {
+		return fmt.Errorf("serve: shard %d checkpoint hook: %w", sh.idx, err)
+	}
+	return nil
+}
+
 // handleSync re-offers the shard's current state to Config.OnShardCheckpoint
 // at its current round, without ticking. No-op (but still a success, echoing
 // the round) when no hook is configured.
@@ -548,9 +560,6 @@ func (sh *shard) clear() {
 	sh.classBacklog = make([]int, len(sh.classes))
 	sh.evicted = map[string]evictedStub{}
 	sh.dirtyCount = 0
-	sh.pool = nil
-	sh.acked = nil
-	sh.lastClosure = nil
 	sh.met.tenants.Set(0)
 	sh.met.backlog.Set(0)
 	sh.met.sm.QueueDepth.Set(0)

@@ -31,19 +31,23 @@ func TestRingMatchesServicePlacement(t *testing.T) {
 }
 
 // TestWireModeFlagRoundTrip pins the -wire flag surface: every mode parses
-// back from its String form, and junk is rejected.
+// back from its String form, binary is the zero value, and "auto" (the
+// removed negotiating mode), the empty string and junk are rejected.
 func TestWireModeFlagRoundTrip(t *testing.T) {
-	for _, m := range []WireMode{WireAuto, WireJSON, WireBinary} {
+	for _, m := range []WireMode{WireJSON, WireBinary} {
 		got, err := ParseWireMode(m.String())
 		if err != nil || got != m {
 			t.Errorf("ParseWireMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
-	if got, err := ParseWireMode(""); err != nil || got != WireAuto {
-		t.Errorf("ParseWireMode(\"\") = %v, %v; want auto", got, err)
+	var zero WireMode
+	if zero != WireBinary {
+		t.Errorf("zero WireMode is %v, want binary", zero)
 	}
-	if _, err := ParseWireMode("carrier-pigeon"); err == nil {
-		t.Error("ParseWireMode accepted junk")
+	for _, bad := range []string{"auto", "", "carrier-pigeon"} {
+		if _, err := ParseWireMode(bad); err == nil {
+			t.Errorf("ParseWireMode(%q) accepted", bad)
+		}
 	}
 }
 
