@@ -258,6 +258,34 @@ func (t *Tracker) sync(k int64) {
 	t.last, t.synced = k, true
 }
 
+// EligibleCached reports whether every eligible color is cached in v. It
+// stops at the first uncached one, so it visits at most one color more than
+// v caches.
+func (t *Tracker) EligibleCached(v sim.View) bool {
+	for _, c := range t.eligible {
+		if !v.Cached(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// Skip advances the tracker over rounds from..last, each of which has no
+// drops and no arrivals while every eligible color is cached (see
+// EligibleCached). Such a round's drop phase lapses no color, and its arrival
+// phase changes only ℓ.dd, which deadline derives from the round. So Skip
+// runs the first skipped round's sync, which materializes every deadline if
+// that round does not follow the last one, and then moves the clock to last.
+// The tracker ends exactly as stepping each round would leave it, in O(1)
+// after that sync.
+func (t *Tracker) Skip(from, last int64) {
+	if last < from {
+		return
+	}
+	t.sync(from)
+	t.last = last
+}
+
 // Timestamp returns the ΔLRU timestamp of color c at round now.
 func (t *Tracker) Timestamp(c model.Color, now int64) int64 {
 	cs := t.states[c]

@@ -54,8 +54,8 @@ func (s Scenario) checkpointBytes() int64 {
 // Scenarios returns the fixed benchmark matrix, in report order: the engine
 // round loop and the ΔLRU-EDF decision path at n ∈ {8, 64, 512} over
 // short/long-delay color mixes, the queue primitives, the streaming
-// scheduler's push loop (fresh and 64 rounds after a burst) and checkpoint
-// round-trip, one hosted serve shard's round with its checkpoint push, the
+// scheduler's push loop (fresh, 64 rounds after a burst, and an intermittent
+// tenant's idle gaps) and checkpoint round-trip, one hosted serve shard's round with its checkpoint push, the
 // sweep fan-out substrate (pinned to one worker so the figure is dispatch
 // overhead, not parallel speedup), the incremental checkpoint store (full vs
 // delta cuts at a dirty fraction, fault-in chain resolution, manifest
@@ -75,6 +75,7 @@ func Scenarios() []Scenario {
 		bucketScenario(),
 		streamPushScenario(),
 		afterBurstScenario("stream/after-burst", afterBurstJobs),
+		idleGapScenario(),
 		streamCheckpointScenario(),
 		hostedTickScenario(),
 		sweepScenario(),
@@ -403,6 +404,55 @@ func afterBurstScenario(name string, burstJobs int) Scenario {
 				}
 				return nil
 			}, nil
+		},
+	}
+}
+
+// idleGap* shape the stream/idle-gap scenario after one tenant of the
+// paging benchmark: Δ=4, n=8, a batch of 4 jobs over 4 colours with delay
+// bound 4 every idleGapPeriod rounds, and a push in every round between.
+const (
+	idleGapPeriod = 97
+	idleGapJobs   = 4
+	idleGapDelay  = 4
+)
+
+// idleGapScenario measures the per-round Push cost of an intermittent
+// tenant: each op pushes one batch and then the idleGapPeriod-1 empty rounds
+// up to the next one, as a shard tick does for a resident tenant. Setup runs
+// one period so the op starts from a warmed scheduler.
+func idleGapScenario() Scenario {
+	return Scenario{
+		Name:   "stream/idle-gap",
+		Doc:    fmt.Sprintf("streaming Push per round of a tenant sending %d jobs every %d rounds (paging-shaped)", idleGapJobs, idleGapPeriod),
+		Rounds: idleGapPeriod,
+		Setup: func() (func() error, error) {
+			s, err := stream.New(stream.Config{Delta: 4, Resources: 8})
+			if err != nil {
+				return nil, err
+			}
+			id := int64(0)
+			jobs := make([]model.Job, idleGapJobs)
+			period := func() error {
+				r := s.Round()
+				for k := range jobs {
+					jobs[k] = model.Job{ID: id, Color: model.Color(k), Arrival: r, Delay: idleGapDelay}
+					id++
+				}
+				if _, err := s.Push(r, jobs); err != nil {
+					return err
+				}
+				for i := int64(1); i < idleGapPeriod; i++ {
+					if _, err := s.Push(r+i, nil); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if err := period(); err != nil {
+				return nil, err
+			}
+			return period, nil
 		},
 	}
 }

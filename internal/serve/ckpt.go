@@ -179,9 +179,11 @@ func (sh *shard) handleCut() cutResult {
 
 // maybeEvict pages out tenants that have been quiescent for at least
 // Config.EvictAfter rounds. Quiescence means no queued and no inflight work:
-// such a tenant's future rounds are all trivial until its next submission, so
-// the fast-forward a fault-in performs reproduces the live decision stream
-// byte for byte. Runs at the end of a tick, on the shard goroutine.
+// such a tenant's future rounds are all trivial until its next submission, and
+// the fault-in's catch-up Push reproduces the live decision stream byte for
+// byte. By then the scheduler has usually settled, so that Push skips the
+// evicted rounds in O(1) (stream.Scheduler.Push). Runs at the end of a tick,
+// on the shard goroutine.
 func (sh *shard) maybeEvict() {
 	if sh.cfg.EvictAfter <= 0 || sh.store == nil {
 		return
@@ -221,9 +223,10 @@ func (sh *shard) evictTenant(tn *tenant) {
 // faultIn transparently pages an evicted tenant back in: resolve its chunk
 // chain, rebuild the tenant at the chunk's round, and adopt it. The returned
 // tenant's scheduler sits at the chunk's round; the next tick's Push
-// fast-forwards it to the shard round (a deterministic no-op walk, because an
-// evicted tenant's skipped rounds are trivial). Returns (nil, nil) when the
-// name is not evicted here.
+// fast-forwards it to the shard round, stepping only the rounds before the
+// scheduler settles and jumping the rest in O(1), with exactly the decisions
+// stepping every round would make. Returns (nil, nil) when the name is not
+// evicted here.
 func (sh *shard) faultIn(name string) (*tenant, error) {
 	stub, ok := sh.evicted[name]
 	if !ok {

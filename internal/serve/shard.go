@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -782,7 +784,9 @@ func (sh *shard) handleTick(round int64) {
 		for i := range jobs {
 			jobs[i].Arrival = local
 		}
-		sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
+		if len(jobs) > 1 {
+			slices.SortFunc(jobs, func(a, b model.Job) int { return cmp.Compare(a.ID, b.ID) })
+		}
 		dec, err := tn.sched.Push(local, jobs)
 		if err != nil {
 			// Unreachable by construction: admission validated every job

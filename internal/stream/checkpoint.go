@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rrsched/internal/core"
@@ -247,7 +248,11 @@ func Restore(data []byte) (*Scheduler, error) {
 			q.Push(j)
 		}
 		s.pendingByColor[p.Color] = q
+		if q.Len() > 0 {
+			s.busy = append(s.busy, p.Color)
+		}
 	}
+	slices.Sort(s.busy)
 	for _, r := range cp.Releases {
 		if _, ok := s.futureReleases[r.Round]; ok {
 			return nil, fmt.Errorf("stream: checkpoint repeats release round %d", r.Round)
@@ -315,7 +320,9 @@ func Restore(data []byte) (*Scheduler, error) {
 			seenLoc[loc] = true
 		}
 		st.colorLocs[cl.Color] = append([]int(nil), cl.Locs...)
+		st.cached = append(st.cached, cl.Color)
 	}
+	slices.Sort(st.cached)
 	for _, loc := range st.freeLocs {
 		if loc < 0 || loc >= cp.Resources {
 			return nil, fmt.Errorf("stream: checkpoint frees location %d of %d", loc, cp.Resources)

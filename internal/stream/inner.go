@@ -1,7 +1,7 @@
 package stream
 
 import (
-	"sort"
+	"slices"
 
 	"rrsched/internal/core"
 	"rrsched/internal/model"
@@ -26,8 +26,10 @@ type innerState struct {
 	inner   map[subKey]model.Color
 
 	pending   []queue.Ring[int64] // deadlines, by inner color
+	queued    int                 // pending inner jobs over all colors
 	locColor  []model.Color
 	colorLocs map[model.Color][]int
+	cached    []model.Color // colorLocs' keys in ascending order
 	freeLocs  []int
 
 	// Deadline index for the drop phase: due[k] lists the inner colors that
@@ -40,10 +42,13 @@ type innerState struct {
 	lastDue []int64
 	duePool [][]model.Color
 
-	// Per-round scratch maps, reused across rounds.
-	dropped map[model.Color]int
-	rank    map[model.Color]int64
+	// Per-round scratch, reused across rounds.
+	dropped  map[model.Color]int
+	rank     map[model.Color]int64
+	want     map[model.Color]bool
+	arrivals []model.Job
 
+	iv  innerView // the sim.View handed to the tracker
 	now int64
 }
 
@@ -62,7 +67,9 @@ func newInnerState(cfg Config) *innerState {
 		due:       map[int64][]model.Color{},
 		dropped:   map[model.Color]int{},
 		rank:      map[model.Color]int64{},
+		want:      map[model.Color]bool{},
 	}
+	st.iv.st = st
 	st.locColor = make([]model.Color, cfg.Resources)
 	st.freeLocs = make([]int, cfg.Resources)
 	for i := range st.locColor {
@@ -99,6 +106,7 @@ func (st *innerState) subcolor(outer model.Color, j, h int64) model.Color {
 // the full scan would have dropped them.
 func (st *innerState) enqueue(ic model.Color, d, floor int64) {
 	st.pending[ic].Push(d)
+	st.queued++
 	key := max(d, floor)
 	if key <= st.lastDue[ic] {
 		return
@@ -132,6 +140,7 @@ func (st *innerState) dropDue(r int64) map[model.Color]int {
 		q := &st.pending[ic]
 		for q.Len() > 0 && q.Peek() <= r {
 			q.Pop()
+			st.queued--
 			st.dropped[ic]++
 		}
 	}
@@ -156,7 +165,7 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 	// appearance — exactly the order reduce.DistributeSequence uses, so the
 	// streaming inner instance is identical to the batch pipeline's,
 	// including the "consistent order of colors" tie-breaks.
-	var arrivals []model.Job
+	arrivals := st.arrivals[:0]
 	rank := st.rank
 	clear(rank)
 	for _, j := range released {
@@ -166,6 +175,7 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 		st.enqueue(ic, r+h, r)
 		arrivals = append(arrivals, model.Job{Color: ic, Arrival: r, Delay: h})
 	}
+	st.arrivals = arrivals
 	st.tracker.ArrivalPhase(st.view(), arrivals)
 
 	// Reconfiguration phase: ΔLRU-EDF target, then minimal placement.
@@ -181,30 +191,47 @@ func (st *innerState) round(r int64, released []model.Job) []model.Color {
 		}
 		if q := &st.pending[c]; q.Len() > 0 {
 			q.Pop()
+			st.queued--
 		}
 	}
 	return target
+}
+
+// skip fast-forwards the inner simulation over rounds from..last, which the
+// caller has found settled (Scheduler.settled): nothing is pending, so each
+// round would only move the clocks and retire stale deadline-index buckets.
+// With nothing pending the index is empty in content, so it is reset to what
+// Restore builds for an empty pending set rather than walked.
+func (st *innerState) skip(from, last int64) {
+	st.tracker.Skip(from, last)
+	st.now = last
+	if len(st.due) > 0 {
+		clear(st.due)
+		for i := range st.lastDue {
+			st.lastDue[i] = -1
+		}
+	}
 }
 
 // place realizes the target inner color set with two locations per color,
 // mirroring the batch engine's placement (evict in color order, reuse
 // still-colored free locations).
 func (st *innerState) place(target []model.Color) {
-	want := map[model.Color]bool{}
+	want := st.want
+	clear(want)
 	for _, c := range target {
 		want[c] = true
 	}
-	var evicted []model.Color
-	for c := range st.colorLocs {
-		if !want[c] {
-			evicted = append(evicted, c)
+	kept := st.cached[:0]
+	for _, c := range st.cached {
+		if want[c] {
+			kept = append(kept, c)
+			continue
 		}
-	}
-	sort.Slice(evicted, func(i, j int) bool { return evicted[i] < evicted[j] })
-	for _, c := range evicted {
 		st.freeLocs = append(st.freeLocs, st.colorLocs[c]...)
 		delete(st.colorLocs, c)
 	}
+	st.cached = kept
 	for _, c := range target {
 		if _, ok := st.colorLocs[c]; ok {
 			continue
@@ -216,6 +243,8 @@ func (st *innerState) place(target []model.Color) {
 			locs = append(locs, loc)
 		}
 		st.colorLocs[c] = locs
+		i, _ := slices.BinarySearch(st.cached, c)
+		st.cached = slices.Insert(st.cached, i, c)
 	}
 }
 
@@ -235,7 +264,7 @@ func (st *innerState) takeFree(c model.Color) int {
 }
 
 // view adapts innerState to sim.View for the tracker and target computation.
-func (st *innerState) view() *innerView { return &innerView{st: st} }
+func (st *innerState) view() *innerView { return &st.iv }
 
 type innerView struct{ st *innerState }
 
@@ -254,14 +283,10 @@ func (v *innerView) Cached(c model.Color) bool {
 	_, ok := v.st.colorLocs[c]
 	return ok
 }
-func (v *innerView) CachedColors() []model.Color {
-	out := make([]model.Color, 0, len(v.st.colorLocs))
-	for c := range v.st.colorLocs {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+
+// CachedColors returns the ascending cached list itself: callers read it
+// before the next place, which rewrites it.
+func (v *innerView) CachedColors() []model.Color { return v.st.cached }
 func (v *innerView) DelayBound(c model.Color) int64 {
 	if int(c) < len(v.st.toOuter) {
 		// The tracker owns the registered delay; reconstruct from the

@@ -20,7 +20,7 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rrsched/internal/model"
 	"rrsched/internal/queue"
@@ -57,8 +57,10 @@ type Scheduler struct {
 
 	// Outer state.
 	pendingByColor map[model.Color]*queue.Ring[model.Job] // outer pending jobs (released or not — execution eligibility checked per job)
+	busy           []model.Color                          // colors with outer pending jobs, ascending
 	delays         map[model.Color]int64                  // outer delay bounds
 	futureReleases map[int64][]model.Job                  // VarBatch-delayed jobs by release round
+	releasePool    [][]model.Job                          // emptied release slices for reuse
 	locColor       []model.Color                          // physical colors
 
 	// Inner (reduced) state.
@@ -100,7 +102,8 @@ func (s *Scheduler) Cost() model.Cost { return s.cost }
 
 // Round returns the next round the scheduler will process. Push to any round
 // at or past it fast-forwards the gap, which is what lets a scheduler restored
-// from an older checkpoint catch up without an explicit replay loop.
+// from an older checkpoint catch up without an explicit replay loop; a
+// settled gap (see Push) costs O(1) however long it is.
 func (s *Scheduler) Round() int64 { return s.round }
 
 // Executed returns the number of jobs executed so far.
@@ -113,6 +116,11 @@ func (s *Scheduler) Dropped() int { return s.dropped }
 // rounds first) and delivers the round's arrivals. Rounds must be pushed in
 // nondecreasing order; jobs must carry arrival == r, a positive delay bound,
 // a non-black color consistent with earlier pushes, and unique IDs.
+//
+// Empty rounds of a settled scheduler (see settled) decide nothing and change
+// nothing but the clocks, so Push jumps over them in O(1): the skipped gap,
+// and round r itself when it brings no jobs. Decisions and snapshots are
+// identical to stepping every round.
 func (s *Scheduler) Push(r int64, jobs []model.Job) (Decision, error) {
 	if r < s.round {
 		return Decision{}, fmt.Errorf("stream: round %d already processed (next is %d)", r, s.round)
@@ -137,12 +145,21 @@ func (s *Scheduler) Push(r int64, jobs []model.Job) (Decision, error) {
 		batchSeen[j.ID] = true
 	}
 	// Process skipped empty rounds so drops and batched bookkeeping land on
-	// time.
-	for s.round < r {
+	// time, until the scheduler settles; from there on they are no-ops.
+	idle := s.settled()
+	for s.round < r && !idle {
 		if _, err := s.step(s.round, nil); err != nil {
 			return Decision{}, err
 		}
 		s.round++
+		idle = s.settled()
+	}
+	if idle {
+		if len(jobs) == 0 {
+			s.skip(r)
+			return Decision{Round: r}, nil
+		}
+		s.skip(r - 1)
 	}
 	dec, err := s.step(r, jobs)
 	if err != nil {
@@ -166,21 +183,51 @@ func (s *Scheduler) Drain() ([]Decision, error) {
 	return out, nil
 }
 
+// settled reports whether the scheduler sits at the fixed point of its empty
+// rounds: no outer job is in flight or awaiting release, no inner job is
+// pending, every eligible inner color is cached (in at most Slots() colors),
+// and the outer colors already project the inner ones. An empty round then
+// drops, releases and executes nothing; the tracker's drop phase lapses only
+// uncached eligible colors, so none; ComputeTarget returns the cached set, so
+// placement and projection change nothing. Its one effect is the round
+// number, which skip applies directly. The check fails fast on a busy
+// scheduler and visits at most O(Resources) colors otherwise.
+func (s *Scheduler) settled() bool {
+	st := s.inner
+	if len(s.inflight) > 0 || len(s.futureReleases) > 0 || st.queued > 0 {
+		return false
+	}
+	if len(st.cached) > st.n/2 || !st.tracker.EligibleCached(st.view()) {
+		return false
+	}
+	for loc, ic := range st.locColor {
+		if ic != model.Black && s.locColor[loc] != st.toOuter[ic] {
+			return false
+		}
+	}
+	return true
+}
+
+// skip advances a settled scheduler over rounds s.round..last without
+// stepping them (a no-op when last < s.round).
+func (s *Scheduler) skip(last int64) {
+	if last < s.round {
+		return
+	}
+	s.inner.skip(s.round, last)
+	s.round = last + 1
+}
+
 // step runs one full round: outer drop phase, VarBatch release + Distribute
 // split + inner round, then projection of the inner configuration and the
 // outer execution phase.
 func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 	dec := Decision{Round: r}
 
-	// Outer drop phase: drop jobs whose deadline is r. Colors are visited in
-	// ascending order so the decision trace is deterministic (and therefore
-	// reproducible across checkpoint/restore).
-	dropColors := make([]model.Color, 0, len(s.pendingByColor))
-	for c := range s.pendingByColor {
-		dropColors = append(dropColors, c)
-	}
-	sort.Slice(dropColors, func(i, j int) bool { return dropColors[i] < dropColors[j] })
-	for _, c := range dropColors {
+	// Outer drop phase: drop jobs whose deadline is r. The colors with
+	// pending jobs are visited in ascending order so the decision trace is
+	// deterministic (and therefore reproducible across checkpoint/restore).
+	for _, c := range s.busy {
 		q := s.pendingByColor[c]
 		for q.Len() > 0 && q.Peek().Deadline() <= r {
 			j := q.Pop()
@@ -200,6 +247,9 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 			q = &queue.Ring[model.Job]{}
 			s.pendingByColor[j.Color] = q
 		}
+		if q.Len() == 0 {
+			s.markBusy(j.Color)
+		}
 		q.Push(j)
 		s.inflight[j.ID] = true
 		if j.ID > s.maxScheduled {
@@ -211,15 +261,23 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 		if h < j.Delay {
 			release = (j.Arrival/h + 1) * h
 		}
-		s.futureReleases[release] = append(s.futureReleases[release], j)
+		batch, ok := s.futureReleases[release]
+		if !ok && len(s.releasePool) > 0 {
+			batch = s.releasePool[len(s.releasePool)-1]
+			s.releasePool = s.releasePool[:len(s.releasePool)-1]
+		}
+		s.futureReleases[release] = append(batch, j)
 	}
 
 	// Inner round: feed this round's releases (as batched inner jobs) and
 	// run the full inner simulation (ΔLRU-EDF bookkeeping, placement,
 	// execution).
-	released := s.futureReleases[r]
+	released, ok := s.futureReleases[r]
 	delete(s.futureReleases, r)
 	s.inner.round(r, released)
+	if ok && cap(released) <= maxPooledRelease {
+		s.releasePool = append(s.releasePool, released[:0])
+	}
 
 	// Projection (Section 4.1): whenever the inner schedule configures
 	// (ℓ, j) on a location, the outer schedule configures ℓ there. Physical
@@ -245,8 +303,27 @@ func (s *Scheduler) step(r int64, arrivals []model.Job) (Decision, error) {
 		dec.Executions = append(dec.Executions, model.Execution{Round: r, Resource: loc, JobID: j.ID})
 		s.executed++
 	}
+	kept := s.busy[:0]
+	for _, c := range s.busy {
+		if s.pendingByColor[c].Len() > 0 {
+			kept = append(kept, c)
+		}
+	}
+	s.busy = kept
 	return dec, nil
 }
+
+// markBusy adds c to the ascending busy list unless it is there already (a
+// color the drop phase emptied stays listed until the end of the round).
+func (s *Scheduler) markBusy(c model.Color) {
+	if i, found := slices.BinarySearch(s.busy, c); !found {
+		s.busy = slices.Insert(s.busy, i, c)
+	}
+}
+
+// maxPooledRelease is the largest release slice kept for reuse; the slice of
+// a burst is left to the collector rather than held for the tenant's life.
+const maxPooledRelease = 256
 
 // releaseRound is the VarBatch release round of a job: the start of the
 // half-block following its arrival (jobs with delay 1 release immediately).
