@@ -3,7 +3,7 @@ package rrsched_test
 // Fuzz target for the user-reachable checkpoint reader: RestoreStream must
 // reject arbitrary and corrupted checkpoint bytes with an error — never a
 // panic — and a checkpoint it does accept must yield a scheduler that can
-// make progress.
+// make progress with work to place.
 
 import (
 	"encoding/json"
@@ -39,6 +39,39 @@ func FuzzRestoreStream(f *testing.F) {
 	f.Add(append(append([]byte{}, snap[len(snap)/3:]...), snap[:len(snap)/3]...))
 	f.Add([]byte(`{"schema":"bogus"}`))
 	f.Add([]byte{})
+	// Four one-location cached colors at n=4: twice Slots(), which a push
+	// with jobs cannot place.
+	small, err := rrsched.NewStream(2, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var four []rrsched.Job
+	for c := 0; c < 4; c++ {
+		four = append(four, rrsched.Job{ID: int64(c), Color: rrsched.Color(c), Arrival: 0, Delay: 1})
+	}
+	if _, err := small.Push(0, four); err != nil {
+		f.Fatal(err)
+	}
+	smallSnap, err := small.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var doctored map[string]any
+	if err := json.Unmarshal(smallSnap, &doctored); err != nil {
+		f.Fatal(err)
+	}
+	var colorLocs, locColor []any
+	for c := 0; c < 4; c++ {
+		colorLocs = append(colorLocs, map[string]any{"color": c, "locs": []any{c}})
+		locColor = append(locColor, c)
+	}
+	inner := doctored["inner"].(map[string]any)
+	inner["color_locs"], inner["loc_color"], inner["free_locs"] = colorLocs, locColor, []any{}
+	bad, err := json.Marshal(doctored)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := rrsched.RestoreStream(data)
@@ -55,7 +88,10 @@ func FuzzRestoreStream(f *testing.F) {
 		if err := json.Unmarshal(data, &next); err != nil {
 			t.Fatalf("accepted checkpoint is not JSON: %v", err)
 		}
-		if _, err := restored.Push(next.Round, nil); err != nil {
+		// One job, so the round places colors (a fresh color and ID keep the
+		// job itself valid against whatever the checkpoint holds).
+		job := rrsched.Job{ID: 1 << 40, Color: 1 << 20, Arrival: next.Round, Delay: 1}
+		if _, err := restored.Push(next.Round, []rrsched.Job{job}); err != nil {
 			return
 		}
 		// And a round already processed must error, not panic.

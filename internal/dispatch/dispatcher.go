@@ -406,7 +406,8 @@ func (d *Dispatcher) storeCheckpoint(req *CheckpointPush) error {
 // The precondition is the fleet-wide round barrier the driver already
 // maintains: every shard must have a stored checkpoint, all at the same round.
 // (A fleet that has never checkpointed resizes without a transform.) Between
-// driver rounds that holds by construction — confirmStored leaves every store
+// driver rounds that holds by construction — a driver round ends only once
+// every shard's target tick succeeded, which means the store holds the shard
 // at the driver's round — and mid-round it cannot hold, so a reshard can only
 // land where the serve-layer determinism proof needs it to.
 func (d *Dispatcher) Reshard(newShards int) (*serve.ReshardResponse, error) {

@@ -54,7 +54,7 @@ func heldFromGrants(prev []LeaseInfo, resp *HeartbeatResponse) []LeaseInfo {
 		delete(byShard, shard)
 	}
 	for _, g := range resp.Grants {
-		byShard[g.Shard] = LeaseInfo{Shard: g.Shard, Epoch: g.Epoch, Round: g.Round}
+		byShard[g.Shard] = LeaseInfo{Shard: g.Shard, Epoch: g.Epoch}
 	}
 	out := make([]LeaseInfo, 0, len(byShard))
 	for shard := 0; shard < MaxShards; shard++ {

@@ -203,23 +203,6 @@ func (d *Driver) Submit(tenant string, jobs []serve.SubmitJob) (serve.SubmitOutc
 	return serve.SubmitOutcome{}, fmt.Errorf("dispatch: submit for tenant %q failed after %d attempts: %w", tenant, d.cfg.Attempts, lastErr)
 }
 
-// shardRound reads a shard's current round from its owner's stats, verifying
-// the owner actually has the shard open.
-func (d *Driver) shardRound(shard int) (int64, error) {
-	client, err := d.clientFor(shard)
-	if err != nil {
-		return 0, err
-	}
-	st, err := client.Stats()
-	if err != nil {
-		return 0, err
-	}
-	if shard >= len(st.PerShard) || !st.PerShard[shard].Open {
-		return 0, fmt.Errorf("dispatch: shard %d is not open on its advertised owner", shard)
-	}
-	return st.PerShard[shard].Round, nil
-}
-
 // errPlacementChanged signals that the fleet's shard count moved under an
 // in-flight round: the batch partition was computed against a ring that no
 // longer exists and must be rebuilt before anything else is retried.
@@ -287,16 +270,18 @@ func (d *Driver) roundOnce(batches []Batch, target int64) error {
 }
 
 // roundShard drives one shard through one round: land the shard's batches,
-// tick to target, and confirm the dispatcher's checkpoint store has reached
-// target before reporting success. Every iteration restarts from
-// resubmission, because a failed tick may mean the shard was restored from a
-// checkpoint that predates the admissions — and the store-confirmation step
-// is what keeps restores tick-aligned to target-1 (admissions lost, resubmit
-// fresh) or target (tick landed, only the response was lost). Without it, a
-// tick whose checkpoint push failed would leave the live shard at target with
-// the store at target-1; the driver would move on, and a crash before the
-// next successful push would restore the shard two rounds behind the
-// driver's counter, losing a round's arrivals for good.
+// then tick it to target. The tick is idempotent on target and succeeds only
+// once the dispatcher has stored the shard's checkpoint at target, so one
+// request both advances the shard and proves the round durable. Every
+// iteration restarts from resubmission, because a failed tick may mean the
+// shard was restored from a checkpoint that predates the admissions — and
+// store-confirmed ticks are what keep restores tick-aligned to target-1
+// (admissions lost, resubmit fresh) or target (tick landed, only the response
+// was lost; resubmits answer 409 and the resent tick only re-pushes). A tick
+// that advanced the shard but whose push was lost fails the same way, and its
+// retry re-pushes at target instead of leaving the store a round behind, where
+// a crash would restore the shard two rounds behind the driver's counter and
+// lose a round's arrivals for good.
 func (d *Driver) roundShard(shard, fleet int, batches []Batch, target int64) error {
 	var lastErr error
 	for attempt := 0; attempt < d.cfg.Attempts; attempt++ {
@@ -310,77 +295,16 @@ func (d *Driver) roundShard(shard, fleet int, batches []Batch, target int64) err
 		if lastErr = d.landBatches(shard, batches); lastErr != nil {
 			continue
 		}
-		cur, err := d.shardRound(shard)
+		client, err := d.clientFor(shard)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if cur < target {
-			client, err := d.clientFor(shard)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			round, err := client.TickShard(shard, int(target-cur))
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if round != target {
-				lastErr = fmt.Errorf("dispatch: shard %d ticked to round %d, want %d", shard, round, target)
-				continue
-			}
+		if _, lastErr = client.TickShardTo(shard, fleet, target); lastErr == nil {
+			return nil
 		}
-		if lastErr = d.confirmStored(shard, target); lastErr != nil {
-			continue
-		}
-		return nil
 	}
 	return fmt.Errorf("dispatch: round %d on shard %d failed after %d attempts: %w", target, shard, d.cfg.Attempts, lastErr)
-}
-
-// confirmStored verifies the dispatcher's stored checkpoint for shard has
-// reached target, asking the shard's owner to re-push (sync) when it lags —
-// the repair for a tick that advanced the shard but whose checkpoint push was
-// lost in flight.
-func (d *Driver) confirmStored(shard int, target int64) error {
-	stored, err := d.storedRound(shard)
-	if err != nil {
-		return err
-	}
-	if stored >= target {
-		return nil
-	}
-	client, err := d.clientFor(shard)
-	if err != nil {
-		return err
-	}
-	if _, err := client.SyncShard(shard); err != nil {
-		return fmt.Errorf("dispatch: syncing shard %d checkpoint: %w", shard, err)
-	}
-	stored, err = d.storedRound(shard)
-	if err != nil {
-		return err
-	}
-	if stored < target {
-		return fmt.Errorf("dispatch: shard %d checkpoint store at round %d after sync, want %d", shard, stored, target)
-	}
-	return nil
-}
-
-// storedRound reads the round of the dispatcher's stored checkpoint for shard
-// from a fresh placement table (refreshing the driver's copy as a side
-// effect).
-func (d *Driver) storedRound(shard int) (int64, error) {
-	p, err := d.dc.Placement()
-	if err != nil {
-		return 0, err
-	}
-	d.applyPlacement(p)
-	if shard >= len(p.Shards) {
-		return 0, fmt.Errorf("dispatch: placement table has %d shards, no shard %d", len(p.Shards), shard)
-	}
-	return p.Shards[shard].Round, nil
 }
 
 // landBatches admits every batch on the shard's current owner, single-shot —

@@ -80,11 +80,13 @@ func TestSelfFenceBoundedByWallClock(t *testing.T) {
 	}
 }
 
-// TestRoundSurvivesLostCheckpointPush pins the driver's store-confirmation
-// step: a round whose tick advanced the shard but whose checkpoint push was
-// lost in flight must not count as done until the dispatcher's store has
-// caught up (via sync), or a crash right after the round would restore the
-// shard two rounds behind the driver and silently drop a round's arrivals.
+// TestRoundSurvivesLostCheckpointPush pins that a target tick succeeds only
+// once the dispatcher stored the shard at the target: a round whose tick
+// advanced the shard but whose checkpoint push was lost in flight must not
+// count as done until the store has caught up (the driver's re-sent tick at
+// the same target re-pushes), or a crash right after the round would restore
+// the shard two rounds behind the driver and silently drop a round's
+// arrivals.
 func TestRoundSurvivesLostCheckpointPush(t *testing.T) {
 	d, err := New(Config{
 		Service:        ServiceConfig{Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true},
@@ -135,8 +137,8 @@ func TestRoundSurvivesLostCheckpointPush(t *testing.T) {
 		batches := batchesAt(tenants, r)
 		if r == faultRound {
 			// Drop the next two pushes: this round's first tick advances its
-			// shard while the store stays behind, and the first repair (sync)
-			// attempt is lost too. Round must not return until the store has
+			// shard while the store stays behind, and the first re-sent tick's
+			// re-push is lost too. Round must not return until the store has
 			// caught up anyway.
 			dropPushes.Store(2)
 		}

@@ -353,3 +353,59 @@ func TestDispatcherReshardRefusals(t *testing.T) {
 		t.Fatal("pre-reshard epoch push was accepted after the reshard")
 	}
 }
+
+// TestFleetReshardWhileDriverIdle pins that a driver learns of a fleet
+// reshard that completed entirely between two of its rounds. With one worker,
+// every old shard index is held by the same worker after the split, so every
+// per-shard tick the stale driver sends names a shard that is open where it
+// lands; nothing fails unless the tick itself carries the driver's view of
+// the fleet.
+func TestFleetReshardWhileDriverIdle(t *testing.T) {
+	d, err := New(Config{
+		Service:        ServiceConfig{Shards: 4, Resources: 8, Delta: 4, Watermark: 1 << 16, RecordDecisions: true},
+		HeartbeatEvery: 20 * time.Millisecond,
+		MissBudget:     3,
+	})
+	if err != nil {
+		t.Fatalf("New dispatcher: %v", err)
+	}
+	t.Cleanup(d.Close)
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(srv.Close)
+	w1, err := StartWorker("w1", srv.URL, "127.0.0.1:0", io.Discard)
+	if err != nil {
+		t.Fatalf("StartWorker: %v", err)
+	}
+	t.Cleanup(w1.Kill)
+	waitAssigned(t, d, 4)
+	driver, err := NewDriver(srv.URL, DriverConfig{Attempts: 400, RetryEvery: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewDriver: %v", err)
+	}
+	tenants := failoverFixture(t, 5)
+	rc := NewClient(srv.URL)
+	for r := int64(0); r < foTotalRounds; r++ {
+		if r == 10 {
+			if _, err := rc.Reshard(8); err != nil {
+				t.Fatalf("Reshard(8): %v", err)
+			}
+			// The worker rebuilds and reopens every shard of the new
+			// topology before the driver sends anything.
+			waitAssigned(t, d, 8)
+			deadline := time.Now().Add(10 * time.Second)
+			for len(w1.service().OpenShards()) != 8 {
+				if time.Now().After(deadline) {
+					t.Fatalf("worker has shards %v open after the split, want all 8", w1.service().OpenShards())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		if err := driver.Round(batchesAt(tenants, r)); err != nil {
+			t.Fatalf("round %d: %v", r+1, err)
+		}
+	}
+	if got := driver.Shards(); got != 8 {
+		t.Fatalf("driver tracks %d shards, want 8", got)
+	}
+	verifyStreams(t, driver, tenants, d.cfg.Service)
+}

@@ -22,8 +22,8 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 
 	hb := &HeartbeatRequest{Schema: WireSchema, Worker: "w1", Held: []LeaseInfo{
-		{Shard: 0, Epoch: 3, Round: 17},
-		{Shard: 2, Epoch: 1, Round: 4},
+		{Shard: 0, Epoch: 3},
+		{Shard: 2, Epoch: 1},
 	}}
 	data, err = EncodeHeartbeat(hb)
 	if err != nil {
@@ -35,6 +35,11 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 	if hb2.Worker != hb.Worker || len(hb2.Held) != 2 || hb2.Held[1] != hb.Held[1] {
 		t.Fatalf("heartbeat round trip: %+v != %+v", hb2, hb)
+	}
+	// Older workers sent each held lease's round; the key is ignored.
+	old, err := DecodeHeartbeat([]byte(`{"schema":"rrdispatch/v1","worker":"w1","held":[{"shard":0,"epoch":3,"round":17}]}`))
+	if err != nil || len(old.Held) != 1 || old.Held[0] != hb.Held[0] {
+		t.Fatalf("heartbeat with a held round: %+v err=%v", old, err)
 	}
 
 	cp := &CheckpointPush{Schema: WireSchema, Worker: "w1", Shard: 1, Epoch: 2, Round: 9,

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -42,7 +41,6 @@ type Worker struct {
 	config      ServiceConfig
 	configEpoch int64
 	epochs      map[int]int64 // shard → lease epoch (held shards only)
-	rounds      map[int]int64 // shard → round of its last checkpoint/open
 
 	stop     chan struct{}
 	done     chan struct{}
@@ -125,7 +123,6 @@ func StartWorker(name, dispatcherURL, listenAddr string, logw io.Writer) (*Worke
 		logw:   logw,
 		now:    obs.Now,
 		epochs: map[int]int64{},
-		rounds: map[int]int64{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -193,9 +190,6 @@ func (w *Worker) logf(format string, args ...any) {
 func (w *Worker) pushCheckpoint(shard int, round int64, data []byte) error {
 	w.mu.Lock()
 	epoch, held := w.epochs[shard]
-	if held {
-		w.rounds[shard] = round
-	}
 	w.mu.Unlock()
 	if !held {
 		return fmt.Errorf("dispatch: shard %d ticked without a lease", shard)
@@ -294,7 +288,7 @@ func (w *Worker) heartbeatRequest() *HeartbeatRequest {
 	}
 	sort.Ints(shards)
 	for _, shard := range shards {
-		req.Held = append(req.Held, LeaseInfo{Shard: shard, Epoch: w.epochs[shard], Round: w.rounds[shard]})
+		req.Held = append(req.Held, LeaseInfo{Shard: shard, Epoch: w.epochs[shard]})
 	}
 	return req
 }
@@ -316,9 +310,8 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 		w.mu.Lock()
 		epoch, held := w.epochs[shard]
 		delete(w.epochs, shard)
-		delete(w.rounds, shard)
 		w.mu.Unlock()
-		data, err := w.service().CloseShard(shard)
+		data, round, err := w.service().CloseShard(shard)
 		if err != nil {
 			// Already closed (a revoke for a lease this worker never applied);
 			// nothing to hand off.
@@ -329,7 +322,7 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 		}
 		final := &CheckpointPush{
 			Schema: WireSchema, Worker: w.name, Shard: shard,
-			Epoch: epoch, Round: w.closedRound(data), Final: true, Data: data,
+			Epoch: epoch, Round: round, Final: true, Data: data,
 		}
 		if err := w.dc.PushCheckpoint(final); err != nil && !errors.Is(err, ErrStale) {
 			w.logf("rrworker %s: final checkpoint for shard %d failed: %v", w.name, shard, err)
@@ -339,20 +332,15 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 	for _, g := range resp.Grants {
 		w.mu.Lock()
 		w.epochs[g.Shard] = g.Epoch
-		w.rounds[g.Shard] = g.Round
 		w.mu.Unlock()
 		round, err := w.service().OpenShard(g.Shard, g.Checkpoint)
 		if err != nil {
 			w.mu.Lock()
 			delete(w.epochs, g.Shard)
-			delete(w.rounds, g.Shard)
 			w.mu.Unlock()
 			w.logf("rrworker %s: opening shard %d at epoch %d failed: %v", w.name, g.Shard, g.Epoch, err)
 			continue
 		}
-		w.mu.Lock()
-		w.rounds[g.Shard] = round
-		w.mu.Unlock()
 		w.logf("rrworker %s: holding shard %d at round %d (epoch %d)", w.name, g.Shard, round, g.Epoch)
 	}
 }
@@ -366,7 +354,6 @@ func (w *Worker) apply(resp *HeartbeatResponse) {
 func (w *Worker) rebuild(cfg ServiceConfig, epoch int64) error {
 	w.mu.Lock()
 	w.epochs = map[int]int64{}
-	w.rounds = map[int]int64{}
 	old := w.svc
 	w.mu.Unlock()
 	scfg := cfg.serveConfig()
@@ -388,23 +375,6 @@ func (w *Worker) rebuild(cfg ServiceConfig, epoch int64) error {
 	return nil
 }
 
-// closedRound extracts the round from a close checkpoint via the recorded
-// rounds map — CloseShard returns state as of the shard's current round,
-// which pushCheckpoint tracked at the last tick. Fresh shards close at their
-// open round.
-func (w *Worker) closedRound(data []byte) int64 {
-	// The checkpoint payload itself carries the authoritative round; the
-	// dispatcher reads it only for placement display, so the tracked value
-	// suffices and saves a decode of an opaque (to this layer) payload.
-	var cp struct {
-		Round int64 `json:"round"`
-	}
-	if err := json.Unmarshal(data, &cp); err == nil {
-		return cp.Round
-	}
-	return 0
-}
-
 // selfFence closes every held shard without handoff: the dispatcher is
 // unreachable, its sweep has (or soon will have) fenced these leases, and a
 // partitioned worker serving stale shards is exactly the split brain the
@@ -417,11 +387,10 @@ func (w *Worker) selfFence() {
 		shards = append(shards, shard)
 	}
 	w.epochs = map[int]int64{}
-	w.rounds = map[int]int64{}
 	w.mu.Unlock()
 	sort.Ints(shards)
 	for _, shard := range shards {
-		_, _ = w.service().CloseShard(shard) // discard: the dispatcher's checkpoint is authoritative now
+		_, _, _ = w.service().CloseShard(shard) // discard: the dispatcher's checkpoint is authoritative now
 	}
 	if len(shards) > 0 {
 		w.logf("rrworker %s: heartbeat deadline exceeded; fenced shards %v", w.name, shards)
@@ -440,7 +409,6 @@ func (w *Worker) Close() {
 			held[shard] = epoch
 		}
 		w.epochs = map[int]int64{}
-		w.rounds = map[int]int64{}
 		w.mu.Unlock()
 		shards := make([]int, 0, len(held))
 		for shard := range held {
@@ -448,13 +416,13 @@ func (w *Worker) Close() {
 		}
 		sort.Ints(shards)
 		for _, shard := range shards {
-			data, err := w.service().CloseShard(shard)
+			data, round, err := w.service().CloseShard(shard)
 			if err != nil {
 				continue
 			}
 			push := &CheckpointPush{
 				Schema: WireSchema, Worker: w.name, Shard: shard,
-				Epoch: held[shard], Round: w.closedRound(data), Final: true, Data: data,
+				Epoch: held[shard], Round: round, Final: true, Data: data,
 			}
 			if err := w.dc.PushCheckpoint(push); err != nil && !errors.Is(err, ErrStale) {
 				w.logf("rrworker %s: handing back shard %d failed: %v", w.name, shard, err)

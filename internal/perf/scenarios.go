@@ -498,15 +498,16 @@ const (
 
 // hostedTickScenario measures one round of a hosted shard as a worker runs
 // it: every tenant's arrivals for the round go through the service's HTTP
-// handler (binary frames, no socket), then Service.TickShard advances the
-// shard, which pushes its flat checkpoint to OnShardCheckpoint. The hook
-// records the payload size; checkpoint_bytes is the last warmup round's. The
-// service lives for the whole process: scenarios have no teardown.
+// handler (binary frames, no socket), then Service.TickShardTo advances the
+// shard to the next round, which pushes its flat checkpoint to
+// OnShardCheckpoint. The hook records the payload size; checkpoint_bytes is
+// the last warmup round's. The service lives for the whole process:
+// scenarios have no teardown.
 func hostedTickScenario() Scenario {
 	var ckptBytes atomic.Int64
 	return Scenario{
 		Name:            "serve/hosted-tick",
-		Doc:             "hosted shard round: 4 steady tenants submit through the handler, then TickShard pushes the flat checkpoint (figures per round)",
+		Doc:             "hosted shard round: 4 steady tenants submit through the handler, then TickShardTo pushes the flat checkpoint (figures per round)",
 		Rounds:          1,
 		CheckpointBytes: ckptBytes.Load,
 		Setup: func() (func() error, error) {
@@ -570,7 +571,7 @@ func hostedTickScenario() Scenario {
 					}
 				}
 				round++
-				_, err := svc.TickShard(0, 1)
+				_, err := svc.TickShardTo(0, int64(round))
 				return err
 			}
 			for i := 0; i < hostedTickWarmup; i++ {

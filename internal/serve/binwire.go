@@ -10,7 +10,7 @@ import (
 )
 
 // WireSchemaV2 is the negotiated binary wire format: length-prefixed
-// little-endian frames carrying the same submit/tick/sync/checkpoint payloads
+// little-endian frames carrying the same submit/tick/checkpoint payloads
 // as the JSON schema. A request decoded from a binary frame carries this
 // schema string; the JSON codec keeps requiring WireSchema exactly, so the
 // Schema field always names the codec the request actually traveled in.
@@ -20,7 +20,7 @@ import (
 // JSON round trip of the same value.
 const WireSchemaV2 = "rrserve/v2"
 
-// Content types negotiated on /v1/jobs, /v1/tick, and /v1/sync. A request
+// Content types negotiated on /v1/jobs and /v1/tick. A request
 // with ContentTypeBinary carries a binary frame; a request with any other
 // (or no) Content-Type is decoded as JSON, which keeps old clients working
 // unchanged. A response is binary only when the request's Accept includes
@@ -67,7 +67,7 @@ const (
 	FrameSubmitResponse
 	FrameTick
 	FrameTickResponse
-	FrameSync
+	frameRetired // 5 was the hosted sync request; never reuse the number
 	FrameCheckpoint
 )
 
@@ -113,7 +113,7 @@ func SplitFrame(data []byte) (FrameType, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: version %d, want %d", ErrFrameHeader, data[2], frameVersion)
 	}
 	t := FrameType(data[3])
-	if t < FrameSubmit || t > FrameCheckpoint {
+	if t < FrameSubmit || t > FrameCheckpoint || t == frameRetired {
 		return 0, nil, fmt.Errorf("%w: unknown frame type %d", ErrFrameHeader, data[3])
 	}
 	n := binary.LittleEndian.Uint32(data[4:8])
@@ -324,30 +324,47 @@ func DecodeSubmitResponseBinary(data []byte) (*SubmitResponse, error) {
 	return resp, nil
 }
 
-// EncodeTickBinary encodes a tick request frame: advance rounds rounds on
-// shard (-1 means every shard in lockstep).
-func EncodeTickBinary(rounds, shard int) []byte {
+// TickRequest is a POST /v1/tick request in either encoding. A lockstep tick
+// sets Rounds and Shard -1. A per-shard tick of a hosted service sets Shard,
+// the shard count Shards of the placement its sender routed by, and the
+// target round To.
+type TickRequest struct {
+	Rounds int
+	Shard  int
+	Shards int
+	To     int64
+}
+
+// EncodeTickBinary encodes a tick request frame: rounds uint32, shard int32,
+// shards uint32, to int64.
+func EncodeTickBinary(req TickRequest) []byte {
 	dst := appendFrameHeader(nil, FrameTick)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(rounds))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(shard)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Rounds))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(req.Shard)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Shards))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.To))
 	return patchFrameLen(dst, 0)
 }
 
-// DecodeTickBinary parses a tick request frame.
-func DecodeTickBinary(data []byte) (rounds, shard int, err error) {
+// DecodeTickBinary parses a tick request frame. Which field combinations are
+// valid is the handler's call, shared with the query form.
+func DecodeTickBinary(data []byte) (TickRequest, error) {
 	payload, err := splitTypedFrame(data, FrameTick)
 	if err != nil {
-		return 0, 0, err
+		return TickRequest{}, err
 	}
-	if len(payload) != 8 {
-		return 0, 0, fmt.Errorf("%w: tick payload %d bytes, want 8", ErrFrameHeader, len(payload))
+	if len(payload) != 20 {
+		return TickRequest{}, fmt.Errorf("%w: tick payload %d bytes, want 20", ErrFrameHeader, len(payload))
 	}
-	rounds = int(binary.LittleEndian.Uint32(payload))
-	shard = int(int32(binary.LittleEndian.Uint32(payload[4:])))
-	return rounds, shard, nil
+	return TickRequest{
+		Rounds: int(binary.LittleEndian.Uint32(payload)),
+		Shard:  int(int32(binary.LittleEndian.Uint32(payload[4:]))),
+		Shards: int(binary.LittleEndian.Uint32(payload[8:])),
+		To:     int64(binary.LittleEndian.Uint64(payload[12:])),
+	}, nil
 }
 
-// EncodeTickResponseBinary encodes a tick/sync response frame carrying the
+// EncodeTickResponseBinary encodes a tick response frame carrying the
 // next round.
 func EncodeTickResponseBinary(round int64) []byte {
 	dst := appendFrameHeader(nil, FrameTickResponse)
@@ -355,7 +372,7 @@ func EncodeTickResponseBinary(round int64) []byte {
 	return patchFrameLen(dst, 0)
 }
 
-// DecodeTickResponseBinary parses a tick/sync response frame.
+// DecodeTickResponseBinary parses a tick response frame.
 func DecodeTickResponseBinary(data []byte) (int64, error) {
 	payload, err := splitTypedFrame(data, FrameTickResponse)
 	if err != nil {
@@ -365,25 +382,6 @@ func DecodeTickResponseBinary(data []byte) (int64, error) {
 		return 0, fmt.Errorf("%w: tick response payload %d bytes, want 8", ErrFrameHeader, len(payload))
 	}
 	return int64(binary.LittleEndian.Uint64(payload)), nil
-}
-
-// EncodeSyncBinary encodes a sync request frame for one hosted shard.
-func EncodeSyncBinary(shard int) []byte {
-	dst := appendFrameHeader(nil, FrameSync)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(shard)))
-	return patchFrameLen(dst, 0)
-}
-
-// DecodeSyncBinary parses a sync request frame.
-func DecodeSyncBinary(data []byte) (int, error) {
-	payload, err := splitTypedFrame(data, FrameSync)
-	if err != nil {
-		return 0, err
-	}
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("%w: sync payload %d bytes, want 4", ErrFrameHeader, len(payload))
-	}
-	return int(int32(binary.LittleEndian.Uint32(payload))), nil
 }
 
 // maxFrameWorkerLen bounds the worker name in a checkpoint frame. The

@@ -245,17 +245,13 @@ func TestBinaryDecodeRejectsInvariantViolations(t *testing.T) {
 
 // TestControlFrameRoundTrips covers the small fixed-size frames.
 func TestControlFrameRoundTrips(t *testing.T) {
-	if r, s, err := DecodeTickBinary(EncodeTickBinary(7, -1)); err != nil || r != 7 || s != -1 {
-		t.Fatalf("tick round trip: rounds=%d shard=%d err=%v", r, s, err)
-	}
-	if r, s, err := DecodeTickBinary(EncodeTickBinary(1, 3)); err != nil || r != 1 || s != 3 {
-		t.Fatalf("tick round trip: rounds=%d shard=%d err=%v", r, s, err)
+	for _, req := range []TickRequest{{Rounds: 7, Shard: -1}, {Shard: 3, Shards: 8, To: 1 << 40}} {
+		if got, err := DecodeTickBinary(EncodeTickBinary(req)); err != nil || got != req {
+			t.Fatalf("tick round trip: got %+v err=%v, want %+v", got, err, req)
+		}
 	}
 	if round, err := DecodeTickResponseBinary(EncodeTickResponseBinary(1 << 40)); err != nil || round != 1<<40 {
 		t.Fatalf("tick response round trip: round=%d err=%v", round, err)
-	}
-	if shard, err := DecodeSyncBinary(EncodeSyncBinary(5)); err != nil || shard != 5 {
-		t.Fatalf("sync round trip: shard=%d err=%v", shard, err)
 	}
 	resp := &SubmitResponse{Schema: WireSchemaV2, Accepted: 42, Round: 99, Backlog: 7}
 	got, err := DecodeSubmitResponseBinary(AppendSubmitResponseBinary(nil, resp))

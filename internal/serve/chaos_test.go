@@ -172,6 +172,15 @@ func TestCheckpointRestoreDecisionIdentical(t *testing.T) {
 // driveTail is driveService restricted to global rounds [from, to): it
 // submits the arrivals due in that window and ticks once per round.
 func driveTail(t *testing.T, client *Client, tenants []detTenant, from, to int64) {
+	driveTailTicking(t, client, tenants, from, to, func(int64) error {
+		_, err := client.Tick(1)
+		return err
+	})
+}
+
+// driveTailTicking is driveTail with the caller's tick, which must bring the
+// service to round next.
+func driveTailTicking(t *testing.T, client *Client, tenants []detTenant, from, to int64, tick func(next int64) error) {
 	t.Helper()
 	for r := from; r < to; r++ {
 		for i := range tenants {
@@ -193,7 +202,7 @@ func driveTail(t *testing.T, client *Client, tenants []detTenant, from, to int64
 				t.Fatalf("tail submit %s at round %d: out=%+v err=%v", tn.name, r, out, err)
 			}
 		}
-		if _, err := client.Tick(1); err != nil {
+		if err := tick(r + 1); err != nil {
 			t.Fatalf("tail tick at round %d: %v", r, err)
 		}
 	}

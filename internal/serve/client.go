@@ -70,7 +70,7 @@ func (p RetryPolicy) validate() RetryPolicy {
 	return p
 }
 
-// WireMode selects the codec a client speaks on the submit/tick/sync
+// WireMode selects the codec a client speaks on the submit/tick
 // endpoints.
 type WireMode int
 
@@ -388,30 +388,26 @@ func (c *Client) parseSubmitResponse(status int, data []byte, header http.Header
 
 // Tick advances n rounds (virtual-time mode) and returns the new next round.
 func (c *Client) Tick(n int) (int64, error) {
-	return c.tick("tick", "/v1/tick?rounds="+strconv.Itoa(n), EncodeTickBinary(n, -1))
+	return c.tick("/v1/tick?rounds="+strconv.Itoa(n), TickRequest{Rounds: n, Shard: -1})
 }
 
-// TickShard advances one hosted shard n rounds from its own round counter.
-// ErrMisdirected is returned when the worker no longer holds the shard.
-func (c *Client) TickShard(shard, n int) (int64, error) {
-	return c.tick("tick", "/v1/tick?rounds="+strconv.Itoa(n)+"&shard="+strconv.Itoa(shard), EncodeTickBinary(n, shard))
-}
-
-// SyncShard asks the worker to re-push one hosted shard's checkpoint at its
-// current round, without ticking, and returns that round. ErrMisdirected is
-// returned when the worker no longer holds the shard.
-func (c *Client) SyncShard(shard int) (int64, error) {
-	return c.tick("sync", "/v1/sync?shard="+strconv.Itoa(shard), EncodeSyncBinary(shard))
+// TickShardTo brings shard of a fleet of shards to round to and has the worker
+// push its checkpoint; see Service.TickShardTo. Resending the same request
+// after a failure is safe. ErrMisdirected is returned when the worker does not
+// hold the shard, or runs a fleet of another size.
+func (c *Client) TickShardTo(shard, shards int, to int64) (int64, error) {
+	path := fmt.Sprintf("/v1/tick?shard=%d&shards=%d&to=%d", shard, shards, to)
+	return c.tick(path, TickRequest{Shard: shard, Shards: shards, To: to})
 }
 
 // ErrMisdirected marks a per-shard request sent to a worker that does not
 // hold the shard's lease; callers refresh placement and retry elsewhere.
 var ErrMisdirected = fmt.Errorf("serve: shard is not hosted on this worker")
 
-// tick posts a tick/sync. A binary request carries the frame and the query
+// tick posts a tick. A binary request carries the frame and the query
 // parameters (the server prefers the frame); the response's Content-Type
 // says which codec came back.
-func (c *Client) tick(op, path string, frame []byte) (int64, error) {
+func (c *Client) tick(path string, req TickRequest) (int64, error) {
 	var (
 		status int
 		data   []byte
@@ -421,16 +417,16 @@ func (c *Client) tick(op, path string, frame []byte) (int64, error) {
 	if c.wire == WireJSON {
 		status, data, header, err = c.do(http.MethodPost, path, []byte{}, "", "")
 	} else {
-		status, data, header, err = c.do(http.MethodPost, path, frame, ContentTypeBinary, ContentTypeBinary)
+		status, data, header, err = c.do(http.MethodPost, path, EncodeTickBinary(req), ContentTypeBinary, ContentTypeBinary)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("serve: %s: %w", op, err)
+		return 0, fmt.Errorf("serve: tick: %w", err)
 	}
 	if status == http.StatusMisdirectedRequest {
 		return 0, ErrMisdirected
 	}
 	if status != http.StatusOK {
-		return 0, bodyError(op, status, data)
+		return 0, bodyError("tick", status, data)
 	}
 	if IsBinaryContent(header.Get("Content-Type")) {
 		return DecodeTickResponseBinary(data)

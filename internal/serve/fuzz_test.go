@@ -150,3 +150,32 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeTickBinary pins the tick frame decoder on arbitrary bytes: it
+// never panics, and any frame it accepts is an encode fixed point, so the
+// handler's rules see exactly the fields that traveled.
+func FuzzDecodeTickBinary(f *testing.F) {
+	for _, req := range []TickRequest{{Rounds: 1, Shard: -1}, {Shard: 3, Shards: 8, To: 1 << 40}} {
+		frame := EncodeTickBinary(req)
+		f.Add(frame)
+		f.Add(frame[:len(frame)-1])                     // truncated payload
+		f.Add(append(append([]byte(nil), frame...), 0)) // trailing byte
+		retired := append([]byte(nil), frame...)
+		retired[3] = 5 // the retired sync frame type
+		f.Add(retired)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := DecodeTickBinary(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeTickBinary(req)
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted tick frame is not a fixed point:\ninput:   %x\nencoded: %x", data, enc)
+		}
+		again, err := DecodeTickBinary(enc)
+		if err != nil || again != req {
+			t.Fatalf("re-decoding %+v: got %+v err=%v", req, again, err)
+		}
+	})
+}

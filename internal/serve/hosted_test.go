@@ -53,17 +53,19 @@ func TestHostedLifecycle(t *testing.T) {
 	if err != nil || !out.Accepted {
 		t.Fatalf("submit to open shard: out=%+v err=%v", out, err)
 	}
-	if _, err := client.Tick(3); err != nil {
-		t.Fatalf("Tick: %v", err)
+	for i := 0; i < 2; i++ {
+		if r, err := client.TickShardTo(i, 2, 3); err != nil || r != 3 {
+			t.Fatalf("TickShardTo(%d, 3): r=%d err=%v", i, r, err)
+		}
 	}
 
 	// Close the tenant's shard: the next submission misdirects again, a
 	// per-shard tick reports ErrMisdirected, and the checkpoint carries the
 	// tenant.
 	shard := svc.ShardFor("alpha")
-	data, err := svc.CloseShard(shard)
-	if err != nil {
-		t.Fatalf("CloseShard: %v", err)
+	data, closedAt, err := svc.CloseShard(shard)
+	if err != nil || closedAt != 3 {
+		t.Fatalf("CloseShard: round=%d err=%v", closedAt, err)
 	}
 	if !strings.Contains(string(data), "alpha") {
 		t.Fatalf("checkpoint does not mention the tenant: %.200s", data)
@@ -72,10 +74,10 @@ func TestHostedLifecycle(t *testing.T) {
 		Jobs: []SubmitJob{{ID: 1, Color: 0, Delay: 4}}}); err != nil || !out.Misdirected {
 		t.Fatalf("submit after close: out=%+v err=%v", out, err)
 	}
-	if _, err := client.TickShard(shard, 1); !errors.Is(err, ErrMisdirected) {
-		t.Fatalf("TickShard on closed shard: err=%v", err)
+	if _, err := client.TickShardTo(shard, 2, 4); !errors.Is(err, ErrMisdirected) {
+		t.Fatalf("TickShardTo on closed shard: err=%v", err)
 	}
-	if _, err := svc.CloseShard(shard); err == nil {
+	if _, _, err := svc.CloseShard(shard); err == nil {
 		t.Fatal("double close accepted")
 	}
 
@@ -95,8 +97,8 @@ func TestHostedLifecycle(t *testing.T) {
 }
 
 // TestHostedShardsTickIndependently pins the failover-critical property:
-// shards on one host may sit at different rounds, and per-shard ticks realign
-// them without touching the others.
+// shards on one host may sit at different rounds, and per-shard target ticks
+// realign them without touching the others.
 func TestHostedShardsTickIndependently(t *testing.T) {
 	svc, _, err := New(hostedConfig())
 	if err != nil {
@@ -106,8 +108,8 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 	if _, err := svc.OpenShard(0, nil); err != nil {
 		t.Fatalf("open 0: %v", err)
 	}
-	if r, err := svc.TickShard(0, 5); err != nil || r != 5 {
-		t.Fatalf("TickShard(0,5): r=%d err=%v", r, err)
+	if r, err := svc.TickShardTo(0, 5); err != nil || r != 5 {
+		t.Fatalf("TickShardTo(0,5): r=%d err=%v", r, err)
 	}
 	// Shard 1 opens later (as a migrated shard would) at round 0.
 	if _, err := svc.OpenShard(1, nil); err != nil {
@@ -117,17 +119,23 @@ func TestHostedShardsTickIndependently(t *testing.T) {
 	if st.PerShard[0].Round != 5 || st.PerShard[1].Round != 0 {
 		t.Fatalf("rounds = %d/%d, want 5/0", st.PerShard[0].Round, st.PerShard[1].Round)
 	}
-	// A service-wide tick advances both from their own counters.
-	if r, err := svc.Tick(2); err != nil || r != 7 {
-		t.Fatalf("Tick(2): r=%d err=%v", r, err)
+	// Each shard advances from its own counter.
+	if r, err := svc.TickShardTo(0, 7); err != nil || r != 7 {
+		t.Fatalf("TickShardTo(0,7): r=%d err=%v", r, err)
+	}
+	if r, err := svc.TickShardTo(1, 2); err != nil || r != 2 {
+		t.Fatalf("TickShardTo(1,2): r=%d err=%v", r, err)
 	}
 	st = svc.Stats()
 	if st.PerShard[0].Round != 7 || st.PerShard[1].Round != 2 {
-		t.Fatalf("rounds after Tick = %d/%d, want 7/2", st.PerShard[0].Round, st.PerShard[1].Round)
+		t.Fatalf("rounds after ticks = %d/%d, want 7/2", st.PerShard[0].Round, st.PerShard[1].Round)
 	}
 	// Realign shard 1.
-	if r, err := svc.TickShard(1, 5); err != nil || r != 7 {
-		t.Fatalf("TickShard(1,5): r=%d err=%v", r, err)
+	if r, err := svc.TickShardTo(1, 7); err != nil || r != 7 {
+		t.Fatalf("TickShardTo(1,7): r=%d err=%v", r, err)
+	}
+	if st = svc.Stats(); st.PerShard[0].Round != 7 {
+		t.Fatalf("realigning shard 1 moved shard 0 to round %d", st.PerShard[0].Round)
 	}
 }
 
@@ -165,8 +173,10 @@ func TestHostedCheckpointHook(t *testing.T) {
 		if err != nil || !out.Accepted {
 			t.Fatalf("submit: out=%+v err=%v", out, err)
 		}
-		if _, err := client.Tick(1); err != nil {
-			t.Fatalf("tick: %v", err)
+		for i := 0; i < 2; i++ {
+			if _, err := client.TickShardTo(i, 2, r+1); err != nil {
+				t.Fatalf("tick shard %d: %v", i, err)
+			}
 		}
 		mu.Lock()
 		for i := 0; i < 2; i++ {
@@ -215,10 +225,11 @@ func TestHostedCheckpointHook(t *testing.T) {
 	}
 }
 
-// TestHostedTickNoOpenShards pins that a service-wide tick with zero leases
-// held is an error and leaves the round counter alone, rather than quietly
-// resetting it to zero.
-func TestHostedTickNoOpenShards(t *testing.T) {
+// TestHostedServiceTickRefused pins that a hosted service has no service-wide
+// tick: its shards sit at the rounds their checkpoints carried, so a lockstep
+// tick is refused — with or without open shards — and leaves every round
+// counter alone.
+func TestHostedServiceTickRefused(t *testing.T) {
 	svc, _, err := New(hostedConfig())
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -230,24 +241,37 @@ func TestHostedTickNoOpenShards(t *testing.T) {
 	if _, err := svc.OpenShard(0, nil); err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if r, err := svc.Tick(3); err != nil || r != 3 {
-		t.Fatalf("Tick(3): r=%d err=%v", r, err)
+	if r, err := svc.TickShardTo(0, 3); err != nil || r != 3 {
+		t.Fatalf("TickShardTo(0,3): r=%d err=%v", r, err)
 	}
-	if _, err := svc.CloseShard(0); err != nil {
+	if _, err := svc.Tick(1); err == nil {
+		t.Fatal("Tick on a hosted service with an open shard succeeded")
+	}
+	if st := svc.Stats(); st.PerShard[0].Round != 3 {
+		t.Fatalf("refused Tick moved shard 0 to round %d, want 3", st.PerShard[0].Round)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	if _, err := NewClientPolicy(srv.URL, SingleShot()).Tick(1); err == nil {
+		t.Fatal("POST /v1/tick?rounds=1 on a hosted service succeeded")
+	}
+	if _, _, err := svc.CloseShard(0); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if _, err := svc.Tick(1); err == nil {
 		t.Fatal("Tick after closing the last shard succeeded")
 	}
 	if got := svc.Round(); got != 3 {
-		t.Fatalf("round counter reset to %d by a no-op tick, want 3", got)
+		t.Fatalf("round counter moved to %d by a refused tick, want 3", got)
 	}
 }
 
-// TestHostedSyncShard pins the checkpoint-repair path: when a tick's hook push
-// fails, the shard has still advanced; SyncShard re-offers the current state
-// to the hook without ticking, and the bytes match a direct snapshot.
-func TestHostedSyncShard(t *testing.T) {
+// TestHostedTickTo pins the target tick's idempotence, which is the
+// checkpoint-repair path: when a tick's hook push fails, the shard has still
+// advanced; a retry at the same target re-offers the current state to the hook
+// without ticking, and the bytes match a direct snapshot. A target the shard
+// has passed is refused with no push.
+func TestHostedTickTo(t *testing.T) {
 	var mu sync.Mutex
 	fail := false
 	var gotRound int64 = -1
@@ -274,9 +298,9 @@ func TestHostedSyncShard(t *testing.T) {
 	defer srv.Close()
 	client := NewClientPolicy(srv.URL, SingleShot())
 
-	// Sync against a closed shard misdirects (classic 421 semantics).
-	if _, err := client.SyncShard(0); !errors.Is(err, ErrMisdirected) {
-		t.Fatalf("sync on closed shard: err=%v", err)
+	// A target tick against a closed shard misdirects (classic 421 semantics).
+	if _, err := client.TickShardTo(0, 2, 1); !errors.Is(err, ErrMisdirected) {
+		t.Fatalf("tick on closed shard: err=%v", err)
 	}
 	if _, err := svc.OpenShard(0, nil); err != nil {
 		t.Fatalf("open: %v", err)
@@ -286,7 +310,7 @@ func TestHostedSyncShard(t *testing.T) {
 	mu.Lock()
 	fail = true
 	mu.Unlock()
-	if _, err := svc.TickShard(0, 1); err == nil {
+	if _, err := svc.TickShardTo(0, 1); err == nil {
 		t.Fatal("tick with failing hook succeeded")
 	}
 	if st := svc.Stats(); st.PerShard[0].Round != 1 {
@@ -300,36 +324,70 @@ func TestHostedSyncShard(t *testing.T) {
 	fail = false
 	mu.Unlock()
 
-	// Sync closes the gap: the hook now holds round 1 without further ticking,
-	// and its bytes equal a direct snapshot.
-	if r, err := client.SyncShard(0); err != nil || r != 1 {
-		t.Fatalf("SyncShard: r=%d err=%v", r, err)
+	// The retry at the same target closes the gap: the hook now holds round 1
+	// without further ticking, and its bytes equal a direct snapshot.
+	if r, err := client.TickShardTo(0, 2, 1); err != nil || r != 1 {
+		t.Fatalf("retried TickShardTo: r=%d err=%v", r, err)
 	}
 	mu.Lock()
-	round, bytesGot := gotRound, gotBytes
+	round, bytesGot, pushes := gotRound, gotBytes, calls
 	mu.Unlock()
 	if round != 1 {
-		t.Fatalf("hook saw round %d after sync, want 1", round)
+		t.Fatalf("hook saw round %d after the retry, want 1", round)
 	}
 	direct, err := svc.SnapshotShard(0)
 	if err != nil {
 		t.Fatalf("SnapshotShard: %v", err)
 	}
 	if !bytes.Equal(direct, bytesGot) {
-		t.Fatal("sync checkpoint diverges from a direct snapshot")
+		t.Fatal("re-pushed checkpoint diverges from a direct snapshot")
 	}
 	if st := svc.Stats(); st.PerShard[0].Round != 1 {
-		t.Fatalf("sync ticked the shard: round = %d, want 1", st.PerShard[0].Round)
+		t.Fatalf("the retry ticked the shard: round = %d, want 1", st.PerShard[0].Round)
 	}
 
-	// SyncShard is hosted-only.
+	// A target below the shard's round is refused: no tick, no push.
+	if _, err := svc.TickShardTo(0, 3); err != nil {
+		t.Fatalf("TickShardTo(0,3): %v", err)
+	}
+	mu.Lock()
+	pushes = calls
+	mu.Unlock()
+	if r, err := client.TickShardTo(0, 2, 2); err == nil || r != 0 {
+		t.Fatalf("target below the shard's round: r=%d err=%v, want refusal", r, err)
+	}
+	if r, err := svc.TickShardTo(0, 2); !errors.Is(err, errPastTarget) || r != 3 {
+		t.Fatalf("TickShardTo(0,2) at round 3: r=%d err=%v, want errPastTarget", r, err)
+	}
+	mu.Lock()
+	if calls != pushes {
+		mu.Unlock()
+		t.Fatalf("a refused target tick pushed %d checkpoints", calls-pushes)
+	}
+	mu.Unlock()
+	// A tick routed by a placement of another shape (a sender that has not
+	// seen a fleet reshard) misdirects without ticking or pushing.
+	if _, err := client.TickShardTo(0, 4, 4); !errors.Is(err, ErrMisdirected) {
+		t.Fatalf("tick routed for 4 shards on a 2-shard service: err=%v, want ErrMisdirected", err)
+	}
+	mu.Lock()
+	if calls != pushes {
+		mu.Unlock()
+		t.Fatalf("a misdirected target tick pushed %d checkpoints", calls-pushes)
+	}
+	mu.Unlock()
+	if st := svc.Stats(); st.PerShard[0].Round != 3 {
+		t.Fatalf("a refused target tick moved the shard to round %d", st.PerShard[0].Round)
+	}
+
+	// Target ticks are hosted-only.
 	classic, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 8})
 	if err != nil {
 		t.Fatalf("New classic: %v", err)
 	}
 	defer classic.Close()
-	if _, err := classic.SyncShard(0); err == nil {
-		t.Error("SyncShard accepted on a classic service")
+	if _, err := classic.TickShardTo(0, 1); err == nil {
+		t.Error("TickShardTo accepted on a classic service")
 	}
 }
 
@@ -355,11 +413,11 @@ func TestHostedConfigValidation(t *testing.T) {
 	if _, err := svc.OpenShard(0, nil); err == nil {
 		t.Error("OpenShard accepted on a classic service")
 	}
-	if _, err := svc.CloseShard(0); err == nil {
+	if _, _, err := svc.CloseShard(0); err == nil {
 		t.Error("CloseShard accepted on a classic service")
 	}
-	if _, err := svc.TickShard(0, 1); err == nil {
-		t.Error("TickShard accepted on a classic service")
+	if _, err := svc.TickShardTo(0, 1); err == nil {
+		t.Error("TickShardTo accepted on a classic service")
 	}
 	if _, err := svc.SnapshotShard(5); err == nil {
 		t.Error("SnapshotShard accepted an out-of-range shard")

@@ -46,12 +46,11 @@ const maxPlacementRetries = 32
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/jobs       submit one batch for one tenant (wire.go)
-//	POST /v1/tick       advance rounds (virtual-time mode only; ?rounds=n,
-//	                    and in hosted mode ?shard=i ticks one shard from its
-//	                    own round counter)
-//	POST /v1/sync       re-push one hosted shard's checkpoint at its current
-//	                    round without ticking (?shard=i); drivers use it when
-//	                    the dispatcher's stored round lags the shard
+//	POST /v1/tick       advance rounds (virtual-time mode only): ?rounds=n
+//	                    ticks every shard in lockstep; in hosted mode
+//	                    ?shard=i&shards=n&to=T brings shard i of an n-shard
+//	                    fleet to round T and pushes its checkpoint, and a
+//	                    retry at the same T only re-pushes
 //	POST /v1/reshard    resize the pool under live traffic (ReshardRequest)
 //	GET  /v1/stats      service + per-shard stats (StatsResponse)
 //	GET  /v1/decisions  a tenant's recorded decision stream (?tenant=...)
@@ -62,7 +61,6 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleSubmit)
 	mux.HandleFunc("/v1/tick", s.handleTick)
-	mux.HandleFunc("/v1/sync", s.handleSync)
 	mux.HandleFunc("/v1/reshard", s.handleReshard)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/decisions", s.handleDecisions)
@@ -239,59 +237,33 @@ func (s *Service) handleTick(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	nshards := len(s.pl.Load().shards)
-	n := 1
-	shard := -1
-	if v := r.URL.Query().Get("rounds"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 || parsed > 1<<20 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid rounds %q (want 1..%d)", v, 1<<20))
-			return
-		}
-		n = parsed
-	}
-	if v := r.URL.Query().Get("shard"); v != "" {
-		parsed, perr := strconv.Atoi(v)
-		if perr != nil || parsed < 0 || parsed >= nshards {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %q (want 0..%d)", v, nshards-1))
-			return
-		}
-		shard = parsed
-	}
-	// A binary tick carries the same parameters as a request frame; the
-	// client sends both, and the frame is authoritative when present.
-	if IsBinaryContent(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1024))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-			return
-		}
-		fn, fshard, err := DecodeTickBinary(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		if fn <= 0 || fn > 1<<20 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid rounds %d (want 1..%d)", fn, 1<<20))
-			return
-		}
-		if fshard != -1 && (fshard < 0 || fshard >= nshards) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %d (want 0..%d)", fshard, nshards-1))
-			return
-		}
-		n, shard = fn, fshard
-	}
-	var round int64
-	var err error
-	if shard >= 0 {
-		round, err = s.TickShard(shard, n)
-		if errors.Is(err, errShardClosed) {
-			writeError(w, http.StatusMisdirectedRequest, err.Error())
-			return
-		}
-	} else {
-		round, err = s.Tick(n)
+	req, err := tickRequest(r)
+	if err == nil {
+		err = checkTick(req, nshards)
 	}
 	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	var round int64
+	switch {
+	case req.Shard < 0:
+		round, err = s.Tick(req.Rounds)
+	case req.Shards != nshards:
+		// Routed by a placement of another shape: the sender has not seen a
+		// fleet reshard yet, and shard i of its fleet is not shard i here.
+		err = fmt.Errorf("serve: tick routed for %d shards, this service has %d: %w", req.Shards, nshards, errShardClosed)
+	default:
+		round, err = s.TickShardTo(req.Shard, req.To)
+	}
+	switch {
+	case errors.Is(err, errShardClosed):
+		writeError(w, http.StatusMisdirectedRequest, err.Error())
+		return
+	case errors.Is(err, errPastTarget):
+		writeError(w, http.StatusConflict, err.Error())
+		return
+	case err != nil:
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
@@ -300,62 +272,82 @@ func (s *Service) handleTick(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, TickResponse{Schema: StatsSchema, Round: round})
+}
+
+// tickRequest reads a tick from the binary frame when the request carries one
+// (the client sends the query too, and the frame is authoritative), from the
+// query otherwise: ?rounds=n (default 1) for a lockstep tick,
+// ?shard=i&shards=n&to=T for a per-shard one.
+func tickRequest(r *http.Request) (TickRequest, error) {
+	if IsBinaryContent(r.Header.Get("Content-Type")) {
+		body, err := io.ReadAll(io.LimitReader(r.Body, 1024))
+		if err != nil {
+			return TickRequest{}, fmt.Errorf("reading body: %v", err)
+		}
+		return DecodeTickBinary(body)
+	}
+	q := r.URL.Query()
+	req := TickRequest{Shard: -1}
+	var err error
+	if v := q.Get("shard"); v != "" {
+		if req.Shard, err = strconv.Atoi(v); err != nil || req.Shard < 0 {
+			return req, fmt.Errorf("invalid shard %q", v)
+		}
+	}
+	if req.Shard < 0 {
+		if q.Has("to") || q.Has("shards") {
+			return req, fmt.Errorf("?to= and ?shards= belong to a per-shard tick: add ?shard=")
+		}
+		req.Rounds = 1
+		if v := q.Get("rounds"); v != "" {
+			if req.Rounds, err = strconv.Atoi(v); err != nil {
+				return req, fmt.Errorf("invalid rounds %q", v)
+			}
+		}
+		return req, nil
+	}
+	if q.Has("rounds") {
+		return req, fmt.Errorf("a per-shard tick names its target round with ?to=, not ?rounds=")
+	}
+	if req.Shards, err = strconv.Atoi(q.Get("shards")); err != nil {
+		return req, fmt.Errorf("invalid shards %q", q.Get("shards"))
+	}
+	if req.To, err = strconv.ParseInt(q.Get("to"), 10, 64); err != nil {
+		return req, fmt.Errorf("invalid target round %q", q.Get("to"))
+	}
+	return req, nil
+}
+
+// checkTick holds both encodings of a tick to the same rules. A shard count
+// that differs from the service's is not malformed — the handler answers it
+// as a misdirect — so the shard index is range-checked only against a
+// matching count.
+func checkTick(req TickRequest, nshards int) error {
+	switch {
+	case req.Shard == -1 && (req.Rounds <= 0 || req.Rounds > maxTickRounds):
+		return fmt.Errorf("invalid rounds %d (want 1..%d)", req.Rounds, maxTickRounds)
+	case req.Shard == -1 && (req.Shards != 0 || req.To != 0):
+		return fmt.Errorf("a lockstep tick carries no shard count or target round")
+	case req.Shard == -1:
+		return nil
+	case req.Shard < 0:
+		return fmt.Errorf("invalid shard %d", req.Shard)
+	case req.Rounds != 0:
+		return fmt.Errorf("a per-shard tick names its target round, not a round count")
+	case req.To < 0:
+		return fmt.Errorf("invalid target round %d", req.To)
+	case req.Shards < 1:
+		return fmt.Errorf("invalid shards %d", req.Shards)
+	case req.Shards == nshards && req.Shard >= nshards:
+		return fmt.Errorf("invalid shard %d (want 0..%d)", req.Shard, nshards-1)
+	}
+	return nil
 }
 
 // TickResponse is the body of POST /v1/tick.
 type TickResponse struct {
 	Schema string `json:"schema"`
 	Round  int64  `json:"round"`
-}
-
-// handleSync re-pushes one hosted shard's checkpoint at its current round.
-func (s *Service) handleSync(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	nshards := len(s.pl.Load().shards)
-	shard := -1
-	if v := r.URL.Query().Get("shard"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed < 0 || parsed >= nshards {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %q (want 0..%d)", v, nshards-1))
-			return
-		}
-		shard = parsed
-	}
-	// As with tick: a binary sync frame is authoritative when present.
-	if IsBinaryContent(r.Header.Get("Content-Type")) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1024))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
-			return
-		}
-		fshard, err := DecodeSyncBinary(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		shard = fshard
-	}
-	if shard < 0 || shard >= nshards {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid shard %d (want 0..%d)", shard, nshards-1))
-		return
-	}
-	round, err := s.SyncShard(shard)
-	if errors.Is(err, errShardClosed) {
-		writeError(w, http.StatusMisdirectedRequest, err.Error())
-		return
-	}
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	if acceptsBinary(r.Header.Get("Accept")) {
-		writeBinary(w, http.StatusOK, EncodeTickResponseBinary(round))
-		return
-	}
-	writeJSON(w, http.StatusOK, TickResponse{Schema: StatsSchema, Round: round})
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -53,10 +53,18 @@ func TestHandlerMethodAndInputRefusals(t *testing.T) {
 		{http.MethodPost, "/v1/reshard", []byte("{torn"), http.StatusBadRequest},
 		{http.MethodPost, "/v1/reshard", []byte(`{"schema":"bogus","shards":2}`), http.StatusBadRequest},
 		{http.MethodPost, "/metrics", nil, http.StatusMethodNotAllowed},
-		{http.MethodGet, "/v1/sync", nil, http.StatusMethodNotAllowed},
-		{http.MethodPost, "/v1/sync?shard=banana", nil, http.StatusBadRequest},
-		{http.MethodPost, "/v1/sync?shard=7", nil, http.StatusBadRequest},
-		{http.MethodPost, "/v1/sync", nil, http.StatusBadRequest}, // no shard named
+		{http.MethodPost, "/v1/tick?shard=banana&shards=2&to=1", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tick?shard=7&shards=2&to=1", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tick?shard=0&shards=2", nil, http.StatusBadRequest}, // no target named
+		{http.MethodPost, "/v1/tick?shard=0&shards=2&to=", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tick?shard=0&shards=2&to=-1", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tick?shard=0&shards=2&to=banana", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tick?shard=0&shards=2&to=1&rounds=1", nil, http.StatusBadRequest},
+		{http.MethodPost, "/v1/tick?shard=0&to=1", nil, http.StatusBadRequest},          // no fleet size named
+		{http.MethodPost, "/v1/tick?shard=0&shards=0&to=1", nil, http.StatusBadRequest}, // an empty fleet
+		{http.MethodPost, "/v1/tick?to=1", nil, http.StatusBadRequest},                  // target without a shard
+		{http.MethodPost, "/v1/tick?shard=5&shards=8&to=1", nil, http.StatusMisdirectedRequest},
+		{http.MethodPost, "/v1/sync?shard=0", nil, http.StatusNotFound},
 	}
 	for _, c := range cases {
 		if got := httpStatus(t, srv, c.method, c.path, c.body); got != c.want {
@@ -65,9 +73,10 @@ func TestHandlerMethodAndInputRefusals(t *testing.T) {
 	}
 }
 
-// TestSyncEndpointRequiresHostedMode pins that a well-formed sync against a
-// classic service surfaces the mode error rather than succeeding vacuously.
-func TestSyncEndpointRequiresHostedMode(t *testing.T) {
+// TestTargetTickRequiresHostedMode pins that a well-formed per-shard target
+// tick against a classic service surfaces the mode error rather than
+// succeeding vacuously.
+func TestTargetTickRequiresHostedMode(t *testing.T) {
 	svc, _, err := New(Config{Shards: 1, Resources: 8, Delta: 4, Watermark: 1 << 10})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -75,8 +84,36 @@ func TestSyncEndpointRequiresHostedMode(t *testing.T) {
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	if got := httpStatus(t, srv, http.MethodPost, "/v1/sync?shard=0", nil); got != http.StatusServiceUnavailable {
-		t.Fatalf("sync on a classic service: status %d, want %d", got, http.StatusServiceUnavailable)
+	if got := httpStatus(t, srv, http.MethodPost, "/v1/tick?shard=0&shards=1&to=1", nil); got != http.StatusServiceUnavailable {
+		t.Fatalf("target tick on a classic service: status %d, want %d", got, http.StatusServiceUnavailable)
+	}
+	for _, c := range []struct {
+		frame []byte
+		want  int
+	}{
+		{EncodeTickBinary(TickRequest{Shard: 0, Shards: 1, To: 1}), http.StatusServiceUnavailable}, // the same tick as a frame
+		{EncodeTickBinary(TickRequest{Rounds: 1, Shard: 0, Shards: 1, To: 1}), http.StatusBadRequest},
+		{EncodeTickBinary(TickRequest{Rounds: 1, Shard: -1, To: 1}), http.StatusBadRequest},
+		{EncodeTickBinary(TickRequest{Shard: 0, Shards: 1, To: -1}), http.StatusBadRequest},
+		{EncodeTickBinary(TickRequest{Shard: 0, To: 1}), http.StatusBadRequest},
+		{EncodeTickBinary(TickRequest{Shard: -2, Shards: 1, To: 1}), http.StatusBadRequest},
+	} {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/tick", bytes.NewReader(c.frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ContentTypeBinary)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("binary tick frame %x: status %d, want %d", c.frame[FrameHeaderLen:], resp.StatusCode, c.want)
+		}
+	}
+	if r := svc.Round(); r != 0 {
+		t.Fatalf("refused target ticks moved the round to %d", r)
 	}
 }
 

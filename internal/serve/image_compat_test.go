@@ -101,8 +101,15 @@ func TestIndentedHostedImageRestores(t *testing.T) {
 		return svc, NewClientPolicy(srv.URL, SingleShot())
 	}
 
+	// The one shard is hosted, so each round is a target tick of shard 0.
+	tickShard0 := func(c *Client) func(int64) error {
+		return func(next int64) error {
+			_, err := c.TickShardTo(0, 1, next)
+			return err
+		}
+	}
 	live, liveClient := open(nil)
-	driveTail(t, liveClient, tenants, 0, cutRound)
+	driveTailTicking(t, liveClient, tenants, 0, cutRound, tickShard0(liveClient))
 	image, err := live.SnapshotShard(0)
 	if err != nil {
 		t.Fatalf("SnapshotShard: %v", err)
@@ -116,8 +123,8 @@ func TestIndentedHostedImageRestores(t *testing.T) {
 	}
 	_, oldClient := open(indented.Bytes())
 
-	driveTail(t, liveClient, tenants, cutRound, totalRounds)
-	driveTail(t, oldClient, tenants, cutRound, totalRounds)
+	driveTailTicking(t, liveClient, tenants, cutRound, totalRounds, tickShard0(liveClient))
+	driveTailTicking(t, oldClient, tenants, cutRound, totalRounds, tickShard0(oldClient))
 	for _, tn := range tenants {
 		want, err := liveClient.DecisionsRaw(tn.name)
 		if err != nil {

@@ -110,10 +110,10 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	if out := submitJobs(t, client, tenant, SubmitJob{ID: 0, Color: 0, Delay: 4}); !out.Accepted {
 		t.Fatalf("submit: %+v", out)
 	}
-	if _, err := svc.TickShard(0, 3); err != nil {
-		t.Fatalf("TickShard: %v", err)
+	if _, err := svc.TickShardTo(0, 3); err != nil {
+		t.Fatalf("TickShardTo: %v", err)
 	}
-	good, err := svc.CloseShard(0)
+	good, _, err := svc.CloseShard(0)
 	if err != nil {
 		t.Fatalf("CloseShard: %v", err)
 	}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,7 +67,7 @@ type Config struct {
 	// checkpoints travel through OnShardCheckpoint, not local files.
 	Hosted bool
 	// OnShardCheckpoint, if set (hosted mode only), is invoked from the shard
-	// goroutine after every self-tick with a fresh checkpoint of the shard.
+	// goroutine after every TickShardTo with a fresh checkpoint of the shard.
 	// The worker daemon uses it to push state to the dispatcher's checkpoint
 	// store synchronously: when a tick call returns, the dispatcher already
 	// holds the post-tick state, so a later crash loses at most the
@@ -440,22 +439,21 @@ func (s *Service) Start() {
 	})
 }
 
-// Tick advances all shards by n rounds and returns the new next round. In a
-// classic service shards tick in lockstep (a barrier separates rounds, so
-// every shard's round counter stays aligned); in hosted mode every open shard
-// advances n rounds from its own counter and the returned round is the
-// maximum across open shards.
+// Tick advances all shards by n rounds in lockstep and returns the new next
+// round: a barrier separates rounds, so every shard's round counter stays
+// aligned. A hosted service refuses: its shards sit at the rounds their
+// checkpoints carried, and each is ticked on its own with TickShardTo.
 func (s *Service) Tick(n int) (int64, error) {
 	if n <= 0 {
 		return s.round.Load(), fmt.Errorf("serve: tick count must be positive, got %d", n)
+	}
+	if s.cfg.Hosted {
+		return s.round.Load(), fmt.Errorf("serve: a hosted service ticks per shard (TickShardTo)")
 	}
 	s.tickMu.Lock()
 	defer s.tickMu.Unlock()
 	if s.draining.Load() {
 		return s.round.Load(), fmt.Errorf("serve: service is draining")
-	}
-	if s.cfg.Hosted {
-		return s.tickHosted(n)
 	}
 	// Reshard swaps the placement under tickMu, so the shard set is stable
 	// for the whole multi-round tick.
@@ -474,52 +472,14 @@ func (s *Service) Tick(n int) (int64, error) {
 	return s.round.Load(), nil
 }
 
-// tickHosted fans a self-tick to every shard concurrently; closed shards
-// report themselves and are skipped. Caller holds tickMu.
-func (s *Service) tickHosted(n int) (int64, error) {
-	shards := s.pl.Load().shards
-	replies := make([]chan selfTickResult, len(shards))
-	for i, sh := range shards {
-		replies[i] = make(chan selfTickResult, 1)
-		sh.ch <- shardCmd{selfTick: &selfTickCmd{n: n, reply: replies[i]}}
-	}
-	maxRound := int64(0)
-	ticked := 0
-	var firstErr error
-	for _, reply := range replies {
-		res := <-reply
-		switch {
-		case res.err == nil:
-			ticked++
-			if res.round > maxRound {
-				maxRound = res.round
-			}
-		case errors.Is(res.err, errShardClosed):
-			// Not hosted here; its owner ticks it.
-		case firstErr == nil:
-			firstErr = res.err
-		}
-	}
-	if firstErr != nil {
-		return maxRound, firstErr
-	}
-	if ticked == 0 {
-		// No leases held: nothing advanced, and storing the zero maxRound
-		// would reset the service-wide counter. Tell the caller instead.
-		return s.round.Load(), fmt.Errorf("serve: no open shards to tick")
-	}
-	s.round.Store(maxRound)
-	return maxRound, nil
-}
-
-// TickShard advances one hosted shard by n rounds from its own round counter.
-// It exists so a placement-following driver can realign shards that diverged
-// during a failover (the dead worker's shards resume at their checkpoint
-// rounds, behind the survivors).
-func (s *Service) TickShard(shard, n int) (int64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("serve: tick count must be positive, got %d", n)
-	}
+// TickShardTo brings one hosted shard to round target and offers its
+// checkpoint to OnShardCheckpoint, returning the shard's round. It is
+// idempotent on target: a shard below target ticks up to it, a shard already
+// at target only re-offers its checkpoint (the repair for a push that was
+// lost after the tick), and a shard past target is refused untouched. So a
+// nil error means the shard is at target and the hook accepted the state at
+// target — for a worker, that the dispatcher stored it.
+func (s *Service) TickShardTo(shard int, target int64) (int64, error) {
 	if !s.cfg.Hosted {
 		return 0, fmt.Errorf("serve: per-shard ticks require hosted mode")
 	}
@@ -532,9 +492,9 @@ func (s *Service) TickShard(shard, n int) (int64, error) {
 	if s.draining.Load() {
 		return 0, fmt.Errorf("serve: service is draining")
 	}
-	reply := make(chan selfTickResult, 1)
-	pl.shards[shard].ch <- shardCmd{selfTick: &selfTickCmd{n: n, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
-	res := <-reply                                                              //lint:ignore lockcheck the shard goroutine always answers a selfTick on the buffered reply channel
+	reply := make(chan roundResult, 1)
+	pl.shards[shard].ch <- shardCmd{tickTo: &tickToCmd{target: target, reply: reply}} //lint:ignore lockcheck tickMu is the round barrier, and shard goroutines drain their channels unconditionally until Close
+	res := <-reply                                                                    //lint:ignore lockcheck the shard goroutine always answers a tickTo on the buffered reply channel
 	if res.err != nil {
 		return res.round, res.err
 	}
@@ -542,25 +502,6 @@ func (s *Service) TickShard(shard, n int) (int64, error) {
 		s.round.Store(res.round)
 	}
 	return res.round, nil
-}
-
-// SyncShard re-offers a hosted shard's current state to OnShardCheckpoint at
-// its current round, without ticking, and returns that round. Drivers call it
-// when the dispatcher's checkpoint store lags the shard (a tick whose hook
-// push failed): it restores the invariant that a restored shard is never more
-// than one round behind the live one.
-func (s *Service) SyncShard(shard int) (int64, error) {
-	if !s.cfg.Hosted {
-		return 0, fmt.Errorf("serve: SyncShard requires hosted mode")
-	}
-	pl := s.pl.Load()
-	if shard < 0 || shard >= len(pl.shards) {
-		return 0, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
-	}
-	reply := make(chan selfTickResult, 1)
-	pl.shards[shard].ch <- shardCmd{sync: &syncCmd{reply: reply}}
-	res := <-reply
-	return res.round, res.err
 }
 
 // OpenShard opens a hosted shard, restoring it from checkpoint bytes when
@@ -575,7 +516,7 @@ func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
 	if shard < 0 || shard >= len(pl.shards) {
 		return 0, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
 	}
-	reply := make(chan openResult, 1)
+	reply := make(chan roundResult, 1)
 	pl.shards[shard].ch <- shardCmd{openShard: &openCmd{data: data, reply: reply}}
 	res := <-reply
 	return res.round, res.err
@@ -583,19 +524,20 @@ func (s *Service) OpenShard(shard int, data []byte) (int64, error) {
 
 // CloseShard snapshots a hosted shard, drops its state, and marks it closed.
 // The returned bytes are the final checkpoint — the handoff artifact uploaded
-// to the dispatcher when a lease is revoked gracefully.
-func (s *Service) CloseShard(shard int) ([]byte, error) {
+// to the dispatcher when a lease is revoked gracefully — taken at the
+// returned round.
+func (s *Service) CloseShard(shard int) ([]byte, int64, error) {
 	if !s.cfg.Hosted {
-		return nil, fmt.Errorf("serve: CloseShard requires hosted mode")
+		return nil, 0, fmt.Errorf("serve: CloseShard requires hosted mode")
 	}
 	pl := s.pl.Load()
 	if shard < 0 || shard >= len(pl.shards) {
-		return nil, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
+		return nil, 0, fmt.Errorf("serve: shard %d out of range [0, %d)", shard, len(pl.shards))
 	}
-	reply := make(chan snapshotResult, 1)
+	reply := make(chan closeResult, 1)
 	pl.shards[shard].ch <- shardCmd{close: &closeCmd{reply: reply}}
 	res := <-reply
-	return res.data, res.err
+	return res.data, res.round, res.err
 }
 
 // SnapshotShard returns a checkpoint of one shard without disturbing it.

@@ -16,9 +16,16 @@ import (
 )
 
 // errShardClosed marks operations against a hosted shard this worker does not
-// currently hold a lease for; Tick skips such shards, submit handlers map it
-// to 421.
+// currently hold a lease for; the submit and tick handlers map it to 421.
 var errShardClosed = errors.New("shard is not hosted on this worker")
+
+// errPastTarget marks a per-shard tick whose target round the shard has
+// already passed: the caller's round counter is behind the shard's.
+var errPastTarget = errors.New("past target round")
+
+// maxTickRounds bounds the rounds one tick request may advance a shard, so a
+// hostile count or target cannot pin a shard goroutine.
+const maxTickRounds = 1 << 20
 
 // tenant is one tenant's scheduling state inside a shard. All fields are
 // owned by the shard goroutine.
@@ -206,8 +213,7 @@ const statusWrongPlacement = -1
 type shardCmd struct {
 	submit    *submitCmd
 	tick      *tickCmd
-	selfTick  *selfTickCmd
-	sync      *syncCmd
+	tickTo    *tickToCmd
 	openShard *openCmd
 	close     *closeCmd
 	snapshot  *snapshotCmd
@@ -240,46 +246,39 @@ type tickCmd struct {
 	done  *sync.WaitGroup
 }
 
-// selfTickCmd advances a hosted shard n rounds from its own round counter
+// tickToCmd brings a hosted shard to round target from its own round counter
 // (hosted shards tick independently: a restored shard resumes at its
-// checkpoint round regardless of its new host's other shards). After the last
-// round the shard snapshots itself and invokes Config.OnShardCheckpoint, so
-// when the tick call returns the caller knows the latest state has been
-// offered to the checkpoint store.
-type selfTickCmd struct {
-	n     int
-	reply chan selfTickResult
+// checkpoint round regardless of its new host's other shards). The shard then
+// snapshots itself and invokes Config.OnShardCheckpoint, so when the call
+// returns the caller knows the state at target has been offered to the
+// checkpoint store. A shard already at target only re-offers.
+type tickToCmd struct {
+	target int64
+	reply  chan roundResult
 }
 
-type selfTickResult struct {
-	round int64 // next round after ticking
+// roundResult answers a tickTo or open: the shard's next round afterwards.
+type roundResult struct {
+	round int64
 	err   error
-}
-
-// syncCmd re-offers a hosted shard's current state to Config.OnShardCheckpoint
-// without ticking. It exists for the failure window where a tick advanced the
-// shard but the hook's push was lost: a placement-following driver that finds
-// the checkpoint store behind the shard uses sync to close the gap before
-// counting the round as durable.
-type syncCmd struct {
-	reply chan selfTickResult
 }
 
 // openCmd opens a hosted shard, restoring from checkpoint bytes when data is
 // non-empty.
 type openCmd struct {
 	data  []byte
-	reply chan openResult
-}
-
-type openResult struct {
-	round int64
-	err   error
+	reply chan roundResult
 }
 
 // closeCmd snapshots a hosted shard, drops its state, and marks it closed.
 type closeCmd struct {
-	reply chan snapshotResult
+	reply chan closeResult
+}
+
+type closeResult struct {
+	data  []byte
+	round int64 // the round the final checkpoint was taken at
+	err   error
 }
 
 type snapshotCmd struct {
@@ -438,12 +437,10 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 		sh.handleTick(cmd.tick.round)
 		sh.met.tickNs.Observe(obs.Now() - t0)
 		cmd.tick.done.Done()
-	case cmd.selfTick != nil:
+	case cmd.tickTo != nil:
 		t0 := obs.Now()
-		cmd.selfTick.reply <- sh.handleSelfTick(cmd.selfTick.n)
+		cmd.tickTo.reply <- sh.handleTickTo(cmd.tickTo.target)
 		sh.met.tickNs.Observe(obs.Now() - t0)
-	case cmd.sync != nil:
-		cmd.sync.reply <- sh.handleSync()
 	case cmd.openShard != nil:
 		cmd.openShard.reply <- sh.handleOpen(cmd.openShard.data)
 	case cmd.close != nil:
@@ -471,22 +468,28 @@ func (sh *shard) handleCmd(cmd shardCmd) {
 	}
 }
 
-// handleSelfTick ticks a hosted shard n rounds from its own counter and then
-// offers a fresh checkpoint to Config.OnShardCheckpoint. A hook failure does
-// not roll the rounds back — the decisions are made — but it is surfaced so
-// the caller knows the store may be behind the shard; handleSync closes that
-// gap without ticking further.
-func (sh *shard) handleSelfTick(n int) selfTickResult {
+// handleTickTo ticks a hosted shard up to target and then offers a fresh
+// checkpoint to Config.OnShardCheckpoint; at target it only re-offers, and
+// past target it refuses without ticking or offering. A hook failure does not
+// roll the rounds back — the decisions are made — but it is surfaced, and
+// the caller's retry at the same target re-offers without ticking further.
+func (sh *shard) handleTickTo(target int64) roundResult {
 	if !sh.open {
-		return selfTickResult{round: sh.round, err: fmt.Errorf("serve: shard %d: %w", sh.idx, errShardClosed)}
+		return roundResult{round: sh.round, err: fmt.Errorf("serve: shard %d: %w", sh.idx, errShardClosed)}
 	}
-	for i := 0; i < n; i++ {
+	if target < sh.round {
+		return roundResult{round: sh.round, err: fmt.Errorf("serve: shard %d is at round %d: %w %d", sh.idx, sh.round, errPastTarget, target)}
+	}
+	if target-sh.round > maxTickRounds {
+		return roundResult{round: sh.round, err: fmt.Errorf("serve: shard %d is at round %d, target %d is more than %d rounds ahead", sh.idx, sh.round, target, maxTickRounds)}
+	}
+	for sh.round < target {
 		sh.handleTick(sh.round)
 	}
 	if err := sh.offerCheckpoint(); err != nil {
-		return selfTickResult{round: sh.round, err: err}
+		return roundResult{round: sh.round, err: err}
 	}
-	return selfTickResult{round: sh.round}
+	return roundResult{round: sh.round}
 }
 
 // offerCheckpoint hands a fresh flat checkpoint of the shard to
@@ -505,48 +508,36 @@ func (sh *shard) offerCheckpoint() error {
 	return nil
 }
 
-// handleSync re-offers the shard's current state to Config.OnShardCheckpoint
-// at its current round, without ticking. No-op (but still a success, echoing
-// the round) when no hook is configured.
-func (sh *shard) handleSync() selfTickResult {
-	if !sh.open {
-		return selfTickResult{round: sh.round, err: fmt.Errorf("serve: shard %d: %w", sh.idx, errShardClosed)}
-	}
-	if err := sh.offerCheckpoint(); err != nil {
-		return selfTickResult{round: sh.round, err: err}
-	}
-	return selfTickResult{round: sh.round}
-}
-
 // handleOpen opens a hosted shard, restoring from checkpoint bytes when data
 // is non-empty. An empty checkpoint opens the shard fresh at round 0.
-func (sh *shard) handleOpen(data []byte) openResult {
+func (sh *shard) handleOpen(data []byte) roundResult {
 	if sh.open {
-		return openResult{round: sh.round, err: fmt.Errorf("serve: shard %d is already open", sh.idx)}
+		return roundResult{round: sh.round, err: fmt.Errorf("serve: shard %d is already open", sh.idx)}
 	}
 	if len(data) > 0 {
 		if err := sh.restoreShard(data, newHashRing(sh.cfg.Shards)); err != nil {
 			sh.clear()
-			return openResult{err: err}
+			return roundResult{err: err}
 		}
 	}
 	sh.open = true
-	return openResult{round: sh.round}
+	return roundResult{round: sh.round}
 }
 
 // handleClose snapshots the shard, drops its state, and marks it closed. The
 // returned bytes are the shard's final checkpoint — the handoff artifact a
 // worker uploads when a lease is revoked gracefully.
-func (sh *shard) handleClose() snapshotResult {
+func (sh *shard) handleClose() closeResult {
 	if !sh.open {
-		return snapshotResult{err: fmt.Errorf("serve: shard %d is not open", sh.idx)}
+		return closeResult{err: fmt.Errorf("serve: shard %d is not open", sh.idx)}
 	}
 	data, err := sh.checkpoint()
 	if err != nil {
-		return snapshotResult{err: err}
+		return closeResult{err: err}
 	}
+	round := sh.round
 	sh.clear()
-	return snapshotResult{data: data}
+	return closeResult{data: data, round: round}
 }
 
 // clear resets the shard's goroutine-owned state to closed-and-empty. The

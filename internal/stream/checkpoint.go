@@ -307,6 +307,13 @@ func Restore(data []byte) (*Scheduler, error) {
 	}
 	seenLoc := make([]bool, cp.Resources)
 	for _, cl := range cp.Inner.ColorLocs {
+		if cl.Color < 0 || int(cl.Color) >= len(st.toOuter) {
+			return nil, fmt.Errorf("stream: checkpoint caches unknown inner color %v", cl.Color)
+		}
+		// Two locations per cached color, none shared: at most Slots() colors.
+		if len(cl.Locs) != 2 {
+			return nil, fmt.Errorf("stream: checkpoint caches color %v on %d locations, want 2", cl.Color, len(cl.Locs))
+		}
 		if _, ok := st.colorLocs[cl.Color]; ok {
 			return nil, fmt.Errorf("stream: checkpoint repeats cached color %v", cl.Color)
 		}

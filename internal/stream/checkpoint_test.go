@@ -458,3 +458,72 @@ func TestRestoredPastDeadlinesDropFirstRound(t *testing.T) {
 		t.Fatalf("inner queue after the first round holds %v, want at most the deadline-9 job", q.Items())
 	}
 }
+
+// TestRestoreRejectsMalformedCachedColors: a cached inner color occupies
+// exactly two locations and names an inner color in range. With the check
+// that no location is shared, that bounds the cached set by Slots(); an image
+// caching four colors on one location each at n=4 would otherwise restore
+// and panic with a cache overflow on the next push with jobs.
+func TestRestoreRejectsMalformedCachedColors(t *testing.T) {
+	s, err := New(Config{Delta: 2, Resources: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Delay 1 releases at once: four colors make four inner colors.
+	var jobs []model.Job
+	for c := 0; c < 4; c++ {
+		jobs = append(jobs, model.Job{ID: int64(c), Color: model.Color(c), Arrival: 0, Delay: 1})
+	}
+	if _, err := s.Push(0, jobs); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := func(colorLocs []any) []byte {
+		var m map[string]any
+		if err := json.Unmarshal(snap, &m); err != nil {
+			t.Fatal(err)
+		}
+		inner := m["inner"].(map[string]any)
+		if n := len(inner["to_outer"].([]any)); n < 4 {
+			t.Fatalf("fixture has %d inner colors, want at least 4", n)
+		}
+		inner["color_locs"] = colorLocs
+		inner["free_locs"] = []any{}
+		inner["loc_color"] = []any{0.0, 1.0, 2.0, 3.0}
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	cached := func(c float64, locs ...float64) map[string]any {
+		l := make([]any, len(locs))
+		for i, loc := range locs {
+			l[i] = loc
+		}
+		return map[string]any{"color": c, "locs": l}
+	}
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"one location each", corrupt([]any{cached(0, 0), cached(1, 1), cached(2, 2), cached(3, 3)}), "want 2"},
+		{"three locations", corrupt([]any{cached(0, 0, 1, 2), cached(1, 3)}), "want 2"},
+		{"unknown color", corrupt([]any{cached(0, 0, 1), cached(9, 2, 3)}), "unknown inner color"},
+		{"negative color", corrupt([]any{cached(-1, 0, 1), cached(1, 2, 3)}), "unknown inner color"},
+	}
+	for _, c := range cases {
+		restored, err := Restore(c.data)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Restore = %v, want mention of %q", c.name, err, c.want)
+		}
+		if err == nil {
+			// An image that slips through panics here with the overflow.
+			_, _ = restored.Push(1, []model.Job{{ID: 10, Color: 0, Arrival: 1, Delay: 1}})
+		}
+	}
+}
