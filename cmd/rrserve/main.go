@@ -13,6 +13,11 @@
 // /readyz goes unready), the in-flight round completes, every shard's state
 // is checkpointed to -state, and the process exits 0.
 //
+// Tenant state written by older builds in JSON is refused at boot; convert a
+// stopped service's (or dispatcher's) state dir once with
+//
+//	rrserve -convert ./state
+//
 // Every data endpoint negotiates the wire format per request: JSON
 // (rrserve/v1) by default, the length-prefixed binary framing (rrserve/v2)
 // when the client sends Content-Type/Accept application/x-rrserve-bin.
@@ -30,11 +35,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
+	"rrsched/internal/dispatch"
 	"rrsched/internal/serve"
 )
 
@@ -57,6 +64,27 @@ func parseClasses(s string) ([]serve.TenantClass, error) {
 		out = append(out, serve.TenantClass{Name: name, Weight: w})
 	}
 	return out, nil
+}
+
+// convertStateDir is the one-shot -convert mode: a dispatcher state dir
+// (shard-*.json) or an rrserve state dir (manifest-*.json and chunks) is
+// rewritten in place from the JSON tenant-state format into the binary one.
+// Run it with the service or dispatcher stopped.
+func convertStateDir(dir string, stdout io.Writer) error {
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.json"))
+	if err != nil {
+		return err
+	}
+	what, convert := "tenant chunks", serve.ConvertStateDir
+	if len(files) > 0 {
+		what, convert = "dispatcher shard files", dispatch.ConvertStateDir
+	}
+	n, err := convert(dir)
+	if err != nil {
+		return err
+	}
+	_, _ = fmt.Fprintf(stdout, "rrserve: converted %d %s in %s to the binary tenant-state format\n", n, what, dir) // best-effort status output
+	return nil
 }
 
 func main() {
@@ -101,12 +129,16 @@ func run(args []string, stdout io.Writer, sigs <-chan os.Signal, ready chan<- st
 		budget    = fs.Int64("reshard-budget", 0, "max tenant-state bytes one live reshard may migrate, split across classes by weight (0 = unlimited)")
 		evict     = fs.Int64("evict-after", 0, "page out tenants idle this many rounds to the chunk store (requires -state; 0 disables)")
 		maxChain  = fs.Int("max-chunk-chain", 0, "fold a tenant's delta-chunk chain into a full chunk at this depth (0 = default)")
+		convert   = fs.String("convert", "", "rewrite the JSON tenant state older builds wrote in this dir (an rrserve state dir, or an rrdispatch one) into the binary format, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *convert != "" {
+		return convertStateDir(*convert, stdout)
 	}
 	classes, err := parseClasses(*classesF)
 	if err != nil {

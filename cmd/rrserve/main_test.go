@@ -296,3 +296,54 @@ func TestGracefulShutdownNoState(t *testing.T) {
 		t.Fatalf("no final summary:\n%s", in.out)
 	}
 }
+
+// TestConvertMode: -convert rewrites the drained state dir of the last JSON
+// build (the serve package's fixture) and a dispatcher dir holding a JSON
+// shard image, each in place, and a second run finds nothing left to convert.
+func TestConvertMode(t *testing.T) {
+	src := filepath.Join("..", "..", "internal", "serve", "testdata", "v1-statedir")
+	state := t.TempDir()
+	if err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(state, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(state, rel), data, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dispatcher := t.TempDir()
+	legacy := `{"schema":"rrdispatch-state/v1","shard":0,"shards":1,"epoch":2,"round":0,` +
+		`"data":{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":0}}`
+	if err := os.WriteFile(filepath.Join(dispatcher, "shard-0000.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		dir, first string
+	}{
+		{state, "converted 6 tenant chunks"},
+		{dispatcher, "converted 1 dispatcher shard files"},
+	} {
+		for i, want := range []string{c.first, "converted 0 "} {
+			var out bytes.Buffer
+			if err := run([]string{"-convert", c.dir}, &out, nil, nil); err != nil {
+				t.Fatalf("run -convert %s (pass %d): %v", c.dir, i+1, err)
+			}
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("pass %d output %q, want %q", i+1, out.String(), want)
+			}
+		}
+	}
+	svc, _, err := serve.New(serve.Config{Shards: 2, Resources: 8, Delta: 4, Watermark: 64, RecordDecisions: true, StateDir: state})
+	if err != nil {
+		t.Fatalf("boot on the converted state dir: %v", err)
+	}
+	svc.Close()
+}

@@ -7,9 +7,10 @@ import (
 
 // The delta codec is a prefix/suffix diff: a delta records how many leading
 // and trailing bytes the target shares with its parent and carries only the
-// middle verbatim. Tenant checkpoint payloads are canonical JSON whose edits
-// between cuts are localized (a round counter, a few queue entries, appended
-// decisions), so the shared prefix and suffix absorb most of the bytes — and
+// middle verbatim. Tenant checkpoint payloads are canonical binary records
+// whose edits between cuts are localized (a round counter, a few queue
+// entries, appended decisions), so the shared prefix and suffix absorb most
+// of the bytes — and
 // the codec stays trivially deterministic and linear-time, which the cut path
 // (inside the shard goroutine, between rounds) requires.
 //

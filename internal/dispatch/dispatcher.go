@@ -345,7 +345,7 @@ func (d *Dispatcher) heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, error
 		l.epoch++
 		grant := LeaseGrant{Shard: i, Epoch: l.epoch, Round: l.round}
 		if len(l.checkpoint) > 0 {
-			grant.Checkpoint = append(json.RawMessage(nil), l.checkpoint...)
+			grant.Checkpoint = append([]byte(nil), l.checkpoint...)
 		}
 		resp.Grants = append(resp.Grants, grant)
 		d.met.LeaseGrants.Inc()
@@ -517,16 +517,12 @@ func movedTenants(olds [][]byte, oldShards, newShards int) (int, error) {
 	}
 	moved := 0
 	for i, data := range olds {
-		var cp struct {
-			Tenants []struct {
-				Name string `json:"name"`
-			} `json:"tenants"`
+		names, err := serve.ImageTenants(data)
+		if err != nil {
+			return 0, fmt.Errorf("dispatch: reading shard %d checkpoint for reshard accounting: %w", i, err)
 		}
-		if err := json.Unmarshal(data, &cp); err != nil {
-			return 0, fmt.Errorf("dispatch: decoding shard %d checkpoint for reshard accounting: %w", i, err)
-		}
-		for _, tn := range cp.Tenants {
-			if oldRing.ShardOf(tn.Name) != newRing.ShardOf(tn.Name) {
+		for _, name := range names {
+			if oldRing.ShardOf(name) != newRing.ShardOf(name) {
 				moved++
 			}
 		}
@@ -607,20 +603,26 @@ func (d *Dispatcher) Stats() *StatsResponse {
 // Metrics returns a snapshot of the dispatcher's metric registry.
 func (d *Dispatcher) Metrics() *obs.Snapshot { return d.reg.Snapshot() }
 
-// stateSchema versions the persisted per-shard checkpoint wrapper.
-const stateSchema = "rrdispatch-state/v1"
+// stateSchema versions the persisted per-shard checkpoint wrapper. Version 1
+// embedded the JSON shard image of older builds; rrserve -convert rewrites
+// such files once (ConvertStateDir).
+const (
+	stateSchema       = "rrdispatch-state/v2"
+	legacyStateSchema = "rrdispatch-state/v1"
+)
 
-// shardState is the on-disk wrapper around one shard's checkpoint. Shards
+// shardState is the on-disk wrapper around one shard's checkpoint: a small
+// JSON header around the opaque binary shard image (base64 in Data). Shards
 // records the fleet size the checkpoint was taken under (0 in files written
 // before resizing existed, which are read as "the configured count"); a boot
 // that finds a different count reshards the persisted set before granting.
 type shardState struct {
-	Schema string          `json:"schema"`
-	Shard  int             `json:"shard"`
-	Shards int             `json:"shards,omitempty"`
-	Epoch  int64           `json:"epoch"`
-	Round  int64           `json:"round"`
-	Data   json.RawMessage `json:"data"`
+	Schema string `json:"schema"`
+	Shard  int    `json:"shard"`
+	Shards int    `json:"shards,omitempty"`
+	Epoch  int64  `json:"epoch"`
+	Round  int64  `json:"round"`
+	Data   []byte `json:"data"`
 }
 
 func (d *Dispatcher) statePath(shard int) string {
@@ -766,6 +768,15 @@ func (d *Dispatcher) readShardState(i int) (*shardState, error) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("dispatch: reading shard %d state: %w", i, err)
+	}
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return nil, fmt.Errorf("dispatch: decoding shard %d state: %w", i, err)
+	}
+	if head.Schema == legacyStateSchema {
+		return nil, fmt.Errorf("dispatch: shard %d state holds the JSON shard image of older builds; convert the state dir once with `rrserve -convert %s`", i, d.cfg.StateDir)
 	}
 	var st shardState
 	if err := json.Unmarshal(data, &st); err != nil {

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rrsched/internal/serve"
 )
 
 // TestFleetReshardDeterminism is the dispatch-tier half of the reshard
@@ -207,13 +209,24 @@ func TestDispatcherRestartAcrossShardCounts(t *testing.T) {
 	verifyStreams(t, driver2, tenants, cfg2.Service)
 }
 
+// emptyImage returns the serve shard image of a shard with no tenants, built
+// from its JSON form by the converter.
+func emptyImage(t *testing.T, shard, shards int, round int64) []byte {
+	t.Helper()
+	img, err := serve.ConvertImage([]byte(fmt.Sprintf(`{"schema":"rrserve-state/v1","shard":%d,"shards":%d,"round":%d,"tenants":[]}`, shard, shards, round)))
+	if err != nil {
+		t.Fatalf("building empty image: %v", err)
+	}
+	return img
+}
+
 // reshardStateFile writes one persisted shard file with an empty-tenant serve
 // checkpoint, the raw material of the boot-resize refusal tests.
 func reshardStateFile(t *testing.T, dir string, shard, shards int, epoch, round int64) {
 	t.Helper()
-	cp := fmt.Sprintf(`{"schema":"rrserve-state/v1","shard":%d,"shards":%d,"round":%d,"tenants":[]}`, shard, shards, round)
+	cp := emptyImage(t, shard, shards, round)
 	st, err := json.Marshal(shardState{
-		Schema: stateSchema, Shard: shard, Shards: shards, Epoch: epoch, Round: round, Data: json.RawMessage(cp),
+		Schema: stateSchema, Shard: shard, Shards: shards, Epoch: epoch, Round: round, Data: cp,
 	})
 	if err != nil {
 		t.Fatalf("encoding state file: %v", err)
@@ -314,9 +327,7 @@ func TestDispatcherReshardRefusals(t *testing.T) {
 
 	// One stored checkpoint of two: the set is incomplete.
 	held := heldFromGrants(nil, resp)
-	cp := func(shard int, round int64) json.RawMessage {
-		return json.RawMessage(fmt.Sprintf(`{"schema":"rrserve-state/v1","shard":%d,"shards":2,"round":%d,"tenants":[]}`, shard, round))
-	}
+	cp := func(shard int, round int64) []byte { return emptyImage(t, shard, 2, round) }
 	if err := d.storeCheckpoint(&CheckpointPush{Schema: WireSchema, Worker: "w1",
 		Shard: 0, Epoch: held[0].Epoch, Round: 1, Data: cp(0, 1)}); err != nil {
 		t.Fatalf("storeCheckpoint shard 0: %v", err)
@@ -408,4 +419,39 @@ func TestFleetReshardWhileDriverIdle(t *testing.T) {
 		t.Fatalf("driver tracks %d shards, want 8", got)
 	}
 	verifyStreams(t, driver, tenants, d.cfg.Service)
+}
+
+// TestLegacyStateConverted: a shard file holding the JSON shard image of
+// older builds is refused at boot with an error naming the converter, and
+// after ConvertStateDir the dispatcher boots on it with the stored round and
+// epoch intact and grants the converted image.
+func TestLegacyStateConverted(t *testing.T) {
+	cfg := testConfig()
+	cfg.Service.Shards = 1
+	cfg.StateDir = t.TempDir()
+	legacy := `{"schema":"rrdispatch-state/v1","shard":0,"shards":1,"epoch":3,"round":5,` +
+		`"data":{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":5}}`
+	if err := os.WriteFile(filepath.Join(cfg.StateDir, "shard-0000.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clk := &fakeClock{}
+	if _, err := newDispatcher(cfg, clk.now); err == nil || !strings.Contains(err.Error(), "rrserve -convert") {
+		t.Fatalf("legacy state: err=%v, want a refusal naming the converter", err)
+	}
+	if n, err := ConvertStateDir(cfg.StateDir); err != nil || n != 1 {
+		t.Fatalf("ConvertStateDir = %d, %v; want 1, nil", n, err)
+	}
+	d, err := newDispatcher(cfg, clk.now)
+	if err != nil {
+		t.Fatalf("boot on the converted state: %v", err)
+	}
+	defer d.Close()
+	d.register(&RegisterRequest{Schema: WireSchema, Worker: "w1", Addr: "http://h1"})
+	resp := mustHeartbeat(t, d, &HeartbeatRequest{Schema: WireSchema, Worker: "w1"})
+	if len(resp.Grants) != 1 || resp.Grants[0].Round != 5 || resp.Grants[0].Epoch != 4 {
+		t.Fatalf("grants %+v, want shard 0 at round 5 under epoch 4", resp.Grants)
+	}
+	if names, err := serve.ImageTenants(resp.Grants[0].Checkpoint); err != nil || len(names) != 0 {
+		t.Fatalf("granted image: %v tenants, err %v", names, err)
+	}
 }

@@ -111,13 +111,13 @@ type HeartbeatRequest struct {
 }
 
 // LeaseGrant hands a shard to the heartbeating worker. Checkpoint carries the
-// shard's last stored state (empty means open fresh at round 0); Round echoes
-// the round that checkpoint was taken at.
+// shard's last stored state, an opaque serve shard image (empty means open
+// fresh at round 0); Round echoes the round that checkpoint was taken at.
 type LeaseGrant struct {
-	Shard      int             `json:"shard"`
-	Epoch      int64           `json:"epoch"`
-	Round      int64           `json:"round"`
-	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+	Shard      int    `json:"shard"`
+	Epoch      int64  `json:"epoch"`
+	Round      int64  `json:"round"`
+	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
 // HeartbeatResponse acknowledges a heartbeat: new leases granted to this
@@ -147,11 +147,13 @@ type CheckpointPush struct {
 	Epoch  int64  `json:"epoch"`
 	Round  int64  `json:"round"`
 	Final  bool   `json:"final,omitempty"`
-	// Data is the shard's state image. Both decoders return it in a buffer
-	// of its own, never aliasing the request body, and the dispatcher keeps
-	// an accepted push's Data as the stored checkpoint without copying: once
-	// pushed, Data belongs to the dispatcher and must not be modified.
-	Data json.RawMessage `json:"data"`
+	// Data is the shard's state image, opaque to the dispatcher (a serve
+	// shard image; base64 in the JSON encoding, raw in the binary frame).
+	// Both decoders return it in a buffer of its own, never aliasing the
+	// request body, and the dispatcher keeps an accepted push's Data as the
+	// stored checkpoint without copying: once pushed, Data belongs to the
+	// dispatcher and must not be modified.
+	Data []byte `json:"data"`
 }
 
 // PlacementEntry is one row of the placement table: which worker currently
@@ -287,8 +289,7 @@ func EncodeCheckpointPush(req *CheckpointPush) ([]byte, error) {
 
 // EncodeCheckpointPushBinary validates and serializes a checkpoint push as
 // an rrserve/v2 checkpoint frame: the shard state travels as raw bytes in a
-// length-prefixed field instead of being re-parsed as embedded JSON, which
-// is where the JSON path spends most of its time on large shards.
+// length-prefixed field instead of base64 inside JSON.
 func EncodeCheckpointPushBinary(req *CheckpointPush) ([]byte, error) {
 	if err := validateCheckpointPush(req); err != nil {
 		return nil, err
@@ -319,7 +320,7 @@ func DecodeCheckpointPushBinary(data []byte) (*CheckpointPush, error) {
 		Final:  f.Final,
 		// The one copy of the state image: the frame's Data aliases the
 		// request body buffer, and the dispatcher stores this slice as is.
-		Data: json.RawMessage(append([]byte(nil), f.Data...)),
+		Data: append([]byte(nil), f.Data...),
 	}
 	if err := validateCheckpointPush(req); err != nil {
 		return nil, err

@@ -81,7 +81,7 @@ func TestWireRejections(t *testing.T) {
 			func(b []byte) error { _, err := DecodeHeartbeat(b); return err }, "out of range"},
 		{"checkpoint no data", `{"schema":"rrdispatch/v1","worker":"w","shard":0,"epoch":0,"round":0}`,
 			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "no data"},
-		{"checkpoint negative round", `{"schema":"rrdispatch/v1","worker":"w","shard":0,"round":-1,"data":{}}`,
+		{"checkpoint negative round", `{"schema":"rrdispatch/v1","worker":"w","shard":0,"round":-1,"data":"e30="}`,
 			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "negative round"},
 		{"checkpoint not json", `{broken`,
 			func(b []byte) error { _, err := DecodeCheckpointPush(b); return err }, "decoding"},

@@ -77,6 +77,7 @@ func Scenarios() []Scenario {
 		afterBurstScenario("stream/after-burst", afterBurstJobs),
 		idleGapScenario(),
 		streamCheckpointScenario(),
+		streamStateScenario(),
 		hostedTickScenario(),
 		sweepScenario(),
 	}
@@ -478,6 +479,37 @@ func streamCheckpointScenario() Scenario {
 					return err
 				}
 				_, err = stream.Restore(snap)
+				return err
+			}, nil
+		},
+	}
+}
+
+// streamStateScenario is stream/checkpoint through the binary state image
+// instead of the JSON debug view: the round trip every chunk write, fault-in
+// and hosted push pays per tenant.
+func streamStateScenario() Scenario {
+	return Scenario{
+		Name:   "stream/state",
+		Doc:    "AppendState + RestoreState round-trip of the stream/checkpoint scheduler (rounds_per_op = 1: figures are per checkpoint)",
+		Rounds: 1,
+		Setup: func() (func() error, error) {
+			s, err := stream.New(stream.Config{Delta: 16, Resources: 8})
+			if err != nil {
+				return nil, err
+			}
+			for r, jobs := range streamJobs(benchRounds) {
+				if _, err := s.Push(int64(r), jobs); err != nil {
+					return nil, err
+				}
+			}
+			var buf []byte
+			return func() error {
+				var err error
+				if buf, err = s.AppendState(buf[:0]); err != nil {
+					return err
+				}
+				_, err = stream.RestoreState(buf)
 				return err
 			}, nil
 		},

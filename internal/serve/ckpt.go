@@ -20,16 +20,6 @@ import (
 // internal/ckptstore; this file owns the mapping between shard state and
 // those formats.
 
-// tenantChunkPayload is what a tenant state chunk holds: the tenant's
-// checkpoint image plus the round it was cut at. The round must travel inside
-// the chunk because clean tenants keep their old chunk while the manifest's
-// round advances — the restored scheduler fast-forwards the gap, which is
-// deterministic precisely because a clean tenant's skipped rounds are trivial.
-type tenantChunkPayload struct {
-	Round  int64            `json:"round"`
-	Tenant tenantCheckpoint `json:"tenant"`
-}
-
 // evictedStub is the resident trace of a paged-out tenant: enough to route
 // reshards, answer decision queries, and fault the tenant back in, without
 // holding any scheduler state.
@@ -83,7 +73,7 @@ func (sh *shard) encodeTenantChunk(tn *tenant) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(tenantChunkPayload{Round: sh.round, Tenant: tcp})
+	return appendChunkPayload(nil, sh.round, &tcp), nil
 }
 
 // putTenantChunk commits a tenant's current state to the chunk store, as a
@@ -237,17 +227,11 @@ func (sh *shard) faultIn(name string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: faulting in tenant %q: %w", name, err)
 	}
-	var tcp tenantChunkPayload
-	if err := json.Unmarshal(payload, &tcp); err != nil {
+	round, tcp, err := decodeChunkPayload(payload, name, sh.round)
+	if err != nil {
 		return nil, fmt.Errorf("serve: faulting in tenant %q: %w", name, err)
 	}
-	if tcp.Tenant.Name != name {
-		return nil, fmt.Errorf("serve: tenant %q chunk holds tenant %q", name, tcp.Tenant.Name)
-	}
-	if tcp.Round < 0 || tcp.Round > sh.round {
-		return nil, fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", name, tcp.Round, sh.round)
-	}
-	tn, err := sh.buildTenant(&tcp.Tenant, tcp.Round)
+	tn, err := sh.buildTenant(tcp, round)
 	if err != nil {
 		return nil, err
 	}
@@ -390,17 +374,11 @@ func (sh *shard) restoreManifest(m *ckptstore.Manifest, ring hashRing) error {
 		if err != nil {
 			return fmt.Errorf("serve: tenant %q: %w", ref.Name, err)
 		}
-		var tcp tenantChunkPayload
-		if err := json.Unmarshal(payload, &tcp); err != nil {
-			return fmt.Errorf("serve: tenant %q chunk: %w", ref.Name, err)
+		round, tcp, err := decodeChunkPayload(payload, ref.Name, m.Round)
+		if err != nil {
+			return err
 		}
-		if tcp.Tenant.Name != ref.Name {
-			return fmt.Errorf("serve: tenant %q chunk holds tenant %q", ref.Name, tcp.Tenant.Name)
-		}
-		if tcp.Round < 0 || tcp.Round > m.Round {
-			return fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", ref.Name, tcp.Round, m.Round)
-		}
-		tn, err := sh.buildTenant(&tcp.Tenant, tcp.Round)
+		tn, err := sh.buildTenant(tcp, round)
 		if err != nil {
 			return err
 		}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"rrsched/internal/ckptstore"
 	"rrsched/internal/obs"
@@ -336,8 +338,8 @@ func (s *Service) removeMoved(sh *shard, fresh bool, frames []migrationFrame) {
 }
 
 // handlePlan serializes every tenant the target ring routes off this shard
-// into a migration frame: the tenant's checkpoint JSON wrapped in a binary
-// checkpoint frame addressed to its new shard. Recorded decision streams
+// into a migration frame: the tenant's record wrapped in a binary checkpoint
+// frame addressed to its new shard. Recorded decision streams
 // travel with the tenant whenever recording is on (in log mode as streaming
 // records riding the frame), so /v1/decisions is seamless across the move.
 // Clean chunk-backed residents and evicted stubs move as tiny chunk
@@ -357,11 +359,9 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 			tcp = tenantCheckpoint{
 				Name:  name,
 				Epoch: tn.epoch,
-				Chunk: ckptstore.FormatChunkID(tn.chunk.ID),
+				Class: sh.recordClass(tn.class),
+				Chunk: tn.chunk.ID,
 				Chain: tn.chunk.Chain,
-			}
-			if tn.class != 0 || sh.classes[tn.class].Name != DefaultClass {
-				tcp.Class = sh.classes[tn.class].Name
 			}
 		} else {
 			full, err := sh.checkpointTenant(tn, sh.cfg.RecordDecisions && sh.declog == nil)
@@ -401,12 +401,10 @@ func (sh *shard) handlePlan(cmd *planCmd) planResult {
 		tcp := tenantCheckpoint{
 			Name:    name,
 			Epoch:   stub.epoch,
+			Class:   sh.recordClass(stub.class),
 			Evicted: true,
-			Chunk:   ckptstore.FormatChunkID(stub.chunk.ID),
+			Chunk:   stub.chunk.ID,
 			Chain:   stub.chunk.Chain,
-		}
-		if stub.class != 0 || sh.classes[stub.class].Name != DefaultClass {
-			tcp.Class = sh.classes[stub.class].Name
 		}
 		if err := sh.attachLogDecisions(&tcp); err != nil {
 			return planResult{err: err}
@@ -444,19 +442,15 @@ func (sh *shard) attachLogDecisions(tcp *tenantCheckpoint) error {
 	return nil
 }
 
-// encodeFrame wraps one tenant checkpoint in a binary migration frame
-// addressed to its target shard under the new epoch.
+// encodeFrame wraps one tenant record in a binary migration frame addressed
+// to its target shard under the new epoch.
 func (sh *shard) encodeFrame(tcp *tenantCheckpoint, newEpoch int64, target int) ([]byte, error) {
-	data, err := json.Marshal(tcp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: serializing tenant %q for migration: %w", tcp.Name, err)
-	}
 	enc, err := EncodeCheckpointFrame(&CheckpointFrame{
 		Worker: reshardWorker,
 		Shard:  target,
 		Epoch:  newEpoch,
 		Round:  sh.round,
-		Data:   data,
+		Data:   appendRecord(nil, tcp),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: framing tenant %q for migration: %w", tcp.Name, err)
@@ -479,8 +473,8 @@ func (sh *shard) adoptFrames(frames []migrationFrame) error {
 		if cf.Round != sh.round {
 			return fmt.Errorf("serve: migration frame at round %d, shard %d is at %d", cf.Round, sh.idx, sh.round)
 		}
-		var tcp tenantCheckpoint
-		if err := json.Unmarshal(cf.Data, &tcp); err != nil {
+		tcp, err := decodeRecord(cf.Data)
+		if err != nil {
 			return fmt.Errorf("serve: decoding migrated tenant %q: %w", mf.tenant, err)
 		}
 		if err := ValidateTenant(tcp.Name); err != nil {
@@ -492,12 +486,12 @@ func (sh *shard) adoptFrames(frames []migrationFrame) error {
 		if _, dup := sh.evicted[tcp.Name]; dup {
 			return fmt.Errorf("serve: migration repeats tenant %q on shard %d", tcp.Name, sh.idx)
 		}
-		if tcp.Chunk != "" {
-			if err := sh.adoptChunkFrame(&tcp, cf.Round); err != nil {
+		if tcp.Chunk != 0 {
+			if err := sh.adoptChunkFrame(tcp, cf.Round); err != nil {
 				return err
 			}
 		} else {
-			tn, err := sh.buildTenant(&tcp, cf.Round)
+			tn, err := sh.buildTenant(tcp, cf.Round)
 			if err != nil {
 				return err
 			}
@@ -527,17 +521,14 @@ func (sh *shard) adoptChunkFrame(tcp *tenantCheckpoint, round int64) error {
 	if sh.store == nil {
 		return fmt.Errorf("serve: migrated tenant %q is chunk-backed, shard %d has no chunk store", tcp.Name, sh.idx)
 	}
-	ref, err := ckptstore.TenantRef{Name: tcp.Name, Chunk: tcp.Chunk, Chain: tcp.Chain}.Ref()
-	if err != nil {
-		return fmt.Errorf("serve: migrated tenant %q: %w", tcp.Name, err)
-	}
+	ref := ckptstore.Ref{ID: tcp.Chunk, Chain: tcp.Chain}
 	if tcp.Evicted {
 		class, ok := sh.restoreClass(tcp.Class)
 		if !ok {
 			return fmt.Errorf("serve: migrated tenant %q has unknown class %q", tcp.Name, tcp.Class)
 		}
 		if !sh.store.Has(ref.ID) {
-			return fmt.Errorf("serve: migrated tenant %q references missing chunk %s", tcp.Name, tcp.Chunk)
+			return fmt.Errorf("serve: migrated tenant %q references missing chunk %s", tcp.Name, ckptstore.FormatChunkID(tcp.Chunk))
 		}
 		if tcp.Epoch < 0 || tcp.Epoch > round {
 			return fmt.Errorf("serve: migrated tenant %q has epoch %d outside [0, %d]", tcp.Name, tcp.Epoch, round)
@@ -549,17 +540,11 @@ func (sh *shard) adoptChunkFrame(tcp *tenantCheckpoint, round int64) error {
 	if err != nil {
 		return fmt.Errorf("serve: resolving migrated tenant %q: %w", tcp.Name, err)
 	}
-	var tchunk tenantChunkPayload
-	if err := json.Unmarshal(payload, &tchunk); err != nil {
-		return fmt.Errorf("serve: decoding chunk of migrated tenant %q: %w", tcp.Name, err)
+	chunkRound, resident, err := decodeChunkPayload(payload, tcp.Name, round)
+	if err != nil {
+		return err
 	}
-	if tchunk.Tenant.Name != tcp.Name {
-		return fmt.Errorf("serve: tenant %q chunk holds tenant %q", tcp.Name, tchunk.Tenant.Name)
-	}
-	if tchunk.Round < 0 || tchunk.Round > round {
-		return fmt.Errorf("serve: tenant %q chunk round %d outside [0, %d]", tcp.Name, tchunk.Round, round)
-	}
-	tn, err := sh.buildTenant(&tchunk.Tenant, tchunk.Round)
+	tn, err := sh.buildTenant(resident, chunkRound)
 	if err != nil {
 		return err
 	}
@@ -609,9 +594,10 @@ func (sh *shard) handleRemove(names []string) {
 // ReshardCheckpoints transforms a complete checkpoint set taken under one
 // shard count into an equivalent set for newShards shards: every tenant is
 // re-routed through the newShards-ring, rounds are preserved, and the
-// placement epoch is bumped past the input's. The dispatcher, which stores
-// flat checkpoints, uses it to resize a hosted fleet between rounds and to
-// boot on a checkpoint set taken under another shard count.
+// placement epoch is bumped past the input's. Records move as bytes — no
+// tenant state is decoded. The dispatcher, which stores flat checkpoints,
+// uses it to resize a hosted fleet between rounds and to boot on a
+// checkpoint set taken under another shard count.
 func ReshardCheckpoints(old [][]byte, newShards int) ([][]byte, error) {
 	if newShards < 1 || newShards > MaxShards {
 		return nil, fmt.Errorf("serve: reshard to %d shards out of range (1..%d)", newShards, MaxShards)
@@ -639,37 +625,37 @@ func ReshardCheckpoints(old [][]byte, newShards int) ([][]byte, error) {
 		}
 		cps[i] = cp
 	}
+	type routed struct {
+		name string
+		rec  []byte
+	}
 	ring := newHashRing(newShards)
-	out := make([]*shardCheckpoint, newShards)
-	for i := range out {
-		out[i] = &shardCheckpoint{
-			Schema:         StateSchema,
+	byShard := make([][]routed, newShards)
+	seen := make(map[string]bool)
+	for _, cp := range cps {
+		for i, name := range cp.Names {
+			if seen[name] {
+				return nil, fmt.Errorf("serve: checkpoint set repeats tenant %q", name)
+			}
+			seen[name] = true
+			t := ring.ShardOf(name)
+			byShard[t] = append(byShard[t], routed{name: name, rec: cp.Records[i]})
+		}
+	}
+	res := make([][]byte, newShards)
+	for i, recs := range byShard {
+		slices.SortFunc(recs, func(a, b routed) int { return strings.Compare(a.name, b.name) })
+		out := &shardCheckpoint{
 			Shard:          i,
 			Shards:         newShards,
 			Round:          cps[0].Round,
 			PlacementEpoch: cps[0].PlacementEpoch + 1,
+			Records:        make([][]byte, len(recs)),
 		}
-	}
-	seen := make(map[string]bool)
-	for _, cp := range cps {
-		for i := range cp.Tenants {
-			tcp := cp.Tenants[i]
-			if seen[tcp.Name] {
-				return nil, fmt.Errorf("serve: checkpoint set repeats tenant %q", tcp.Name)
-			}
-			seen[tcp.Name] = true
-			t := ring.ShardOf(tcp.Name)
-			out[t].Tenants = append(out[t].Tenants, tcp)
+		for k, r := range recs {
+			out.Records[k] = r.rec
 		}
-	}
-	res := make([][]byte, newShards)
-	for i, cp := range out {
-		sort.Slice(cp.Tenants, func(a, b int) bool { return cp.Tenants[a].Name < cp.Tenants[b].Name })
-		data, err := json.Marshal(cp)
-		if err != nil {
-			return nil, fmt.Errorf("serve: serializing resharded shard %d: %w", i, err)
-		}
-		res[i] = data
+		res[i] = appendShardImage(nil, out)
 	}
 	return res, nil
 }

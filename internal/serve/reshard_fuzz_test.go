@@ -57,9 +57,17 @@ func FuzzDecodeReshard(f *testing.F) {
 func FuzzPlacementEpoch(f *testing.F) {
 	f.Add([]byte(""), uint8(0))
 	f.Add([]byte("{}"), uint8(3))
-	f.Add([]byte(`{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":2,"tenants":[{"name":"alpha","snapshot":null}]}`), uint8(4))
-	f.Add([]byte(`{"schema":"rrserve-state/v1","shard":0,"shards":1,"round":0,"placement_epoch":5}`), uint8(7))
-	f.Add([]byte(`{"schema":"rrserve-state/v1","shard":0,"shards":2,"round":0}`), uint8(1))
+	image := func(shards int, round, epoch int64, names ...string) []byte {
+		cp := shardCheckpoint{Shards: shards, Round: round, PlacementEpoch: epoch}
+		for _, n := range names {
+			cp.Records = append(cp.Records, appendRecord(nil, &tenantCheckpoint{Name: n}))
+		}
+		return appendShardImage(nil, &cp)
+	}
+	f.Add(image(1, 2, 0, "alpha"), uint8(4))
+	f.Add(image(1, 0, 5), uint8(7))
+	f.Add(image(2, 0, 0), uint8(1))
+	f.Add(image(1, 3, 1, "alpha", "beta", "gamma"), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
 		newShards := 1 + int(n)%8
 		out, err := ReshardCheckpoints([][]byte{data}, newShards)
@@ -74,8 +82,8 @@ func FuzzPlacementEpoch(f *testing.F) {
 			t.Fatalf("transform accepted a checkpoint its own decoder rejects: %v", err)
 		}
 		want := map[string]bool{}
-		for _, tcp := range in.Tenants {
-			want[tcp.Name] = true
+		for _, name := range in.Names {
+			want[name] = true
 		}
 		ring := newHashRing(newShards)
 		got := map[string]bool{}
@@ -91,13 +99,13 @@ func FuzzPlacementEpoch(f *testing.F) {
 				t.Fatalf("output %d: round %d epoch %d, want round %d epoch %d",
 					i, cp.Round, cp.PlacementEpoch, in.Round, in.PlacementEpoch+1)
 			}
-			for _, tcp := range cp.Tenants {
-				if got[tcp.Name] {
-					t.Fatalf("tenant %q duplicated across outputs", tcp.Name)
+			for _, name := range cp.Names {
+				if got[name] {
+					t.Fatalf("tenant %q duplicated across outputs", name)
 				}
-				got[tcp.Name] = true
-				if ring.ShardOf(tcp.Name) != i {
-					t.Fatalf("tenant %q on shard %d, ring says %d", tcp.Name, i, ring.ShardOf(tcp.Name))
+				got[name] = true
+				if ring.ShardOf(name) != i {
+					t.Fatalf("tenant %q on shard %d, ring says %d", name, i, ring.ShardOf(name))
 				}
 			}
 		}

@@ -460,15 +460,11 @@ func TestReshardMetrics(t *testing.T) {
 // refused.
 func TestReshardCheckpointsTransform(t *testing.T) {
 	mk := func(shard, shards int, round, epoch int64, names ...string) []byte {
-		cp := shardCheckpoint{Schema: StateSchema, Shard: shard, Shards: shards, Round: round, PlacementEpoch: epoch}
+		cp := shardCheckpoint{Shard: shard, Shards: shards, Round: round, PlacementEpoch: epoch}
 		for _, n := range names {
-			cp.Tenants = append(cp.Tenants, tenantCheckpoint{Name: n, Snapshot: mustSnapshot(t)})
+			cp.Records = append(cp.Records, appendRecord(nil, &tenantCheckpoint{Name: n, State: mustState(t)}))
 		}
-		data, err := MarshalResponse(cp)
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		return data
+		return appendShardImage(nil, &cp)
 	}
 	ring2 := newHashRing(2)
 	var on0, on1 []string
@@ -498,11 +494,11 @@ func TestReshardCheckpointsTransform(t *testing.T) {
 		if cp.Shard != i || cp.Shards != 5 || cp.Round != 7 || cp.PlacementEpoch != 4 {
 			t.Fatalf("output %d header: %+v", i, cp)
 		}
-		for _, tcp := range cp.Tenants {
-			if got := ring5.ShardOf(tcp.Name); got != i {
-				t.Fatalf("tenant %q on shard %d, ring says %d", tcp.Name, i, got)
+		for _, name := range cp.Names {
+			if got := ring5.ShardOf(name); got != i {
+				t.Fatalf("tenant %q on shard %d, ring says %d", name, i, got)
 			}
-			seen[tcp.Name] = true
+			seen[name] = true
 		}
 	}
 	if len(seen) != 4 {
@@ -526,17 +522,17 @@ func TestReshardCheckpointsTransform(t *testing.T) {
 	}
 }
 
-// mustSnapshot returns a valid empty scheduler snapshot for checkpoint
+// mustState returns a valid empty scheduler state image for checkpoint
 // fixtures.
-func mustSnapshot(t *testing.T) []byte {
+func mustState(t testing.TB) []byte {
 	t.Helper()
 	sched, err := stream.New(stream.Config{Delta: 4, Resources: 8})
 	if err != nil {
 		t.Fatalf("stream.New: %v", err)
 	}
-	snap, err := sched.Snapshot()
+	state, err := sched.AppendState(nil)
 	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
+		t.Fatalf("AppendState: %v", err)
 	}
-	return snap
+	return state
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -129,18 +128,20 @@ func TestOpenShardRejectsBadCheckpoints(t *testing.T) {
 	// A decision-count mismatch: the history no longer covers every round
 	// since the tenant's epoch, so a restored stream could silently skip
 	// rounds.
-	var cp shardCheckpoint
-	if err := json.Unmarshal(good, &cp); err != nil {
+	cp, err := decodeShardCheckpoint(good)
+	if err != nil {
 		t.Fatalf("decoding checkpoint: %v", err)
 	}
-	if len(cp.Tenants) != 1 || len(cp.Tenants[0].Decisions) == 0 {
-		t.Fatalf("fixture checkpoint lacks decisions: %d tenants", len(cp.Tenants))
+	if len(cp.Records) != 1 {
+		t.Fatalf("fixture checkpoint has %d tenants, want 1", len(cp.Records))
 	}
-	cp.Tenants[0].Decisions = cp.Tenants[0].Decisions[:len(cp.Tenants[0].Decisions)-1]
-	mangled, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatalf("re-encoding checkpoint: %v", err)
+	tcp, err := decodeRecord(cp.Records[0])
+	if err != nil || len(tcp.Decisions) == 0 {
+		t.Fatalf("fixture checkpoint lacks decisions (%v)", err)
 	}
+	tcp.Decisions = tcp.Decisions[:len(tcp.Decisions)-1]
+	cp.Records[0] = appendRecord(nil, tcp)
+	mangled := appendShardImage(nil, cp)
 	if _, err := svc.OpenShard(0, mangled); err == nil {
 		t.Fatal("OpenShard accepted a truncated decision history")
 	}

@@ -201,6 +201,13 @@ type shard struct {
 	declogErr  error
 	evicted    map[string]evictedStub
 	dirtyCount int
+
+	// Checkpoint scratch, reused across cuts on the shard goroutine: the
+	// tenant state and record being encoded, and the size to reserve for
+	// the next flat image.
+	stateBuf []byte
+	recBuf   []byte
+	imageCap int
 }
 
 // statusWrongPlacement is the internal submitResult status for a command

@@ -103,14 +103,19 @@ func fromJobCPs(jobs []jobCP) []model.Job {
 }
 
 // Snapshot serializes the scheduler's complete state as indented JSON: the
-// human-readable debug view of AppendSnapshot's image, byte-identical to
-// json.Indent over it. The snapshot is deterministic (equal schedulers yield
-// identical bytes) and self-contained: Restore on it resumes the run with
-// decisions identical to an uninterrupted scheduler fed the same pushes.
+// human-readable debug view of the state image, and the oracle the binary
+// image (AppendState) is tested against. The snapshot is deterministic (equal
+// schedulers yield identical bytes) and self-contained: Restore on it resumes
+// the run with decisions identical to an uninterrupted scheduler fed the same
+// pushes.
 func (s *Scheduler) Snapshot() ([]byte, error) {
-	compact, err := s.AppendSnapshot(nil)
+	cp, err := s.checkpoint()
 	if err != nil {
 		return nil, err
+	}
+	compact, err := json.Marshal(cp)
+	if err != nil {
+		return nil, fmt.Errorf("stream: snapshot: %w", err)
 	}
 	// Indented snapshots run about 2.4x their compact size (the after-burst
 	// fixture: 195 KB vs 81 KB). Reserving 3x lets Indent write in place;
@@ -123,16 +128,14 @@ func (s *Scheduler) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// AppendSnapshot appends the scheduler's state image to dst as compact JSON
-// and returns the extended slice. This is the encoding machines exchange
-// (checkpoints, chunk payloads, migration frames); it carries exactly what
-// Snapshot does without the whitespace, and Restore accepts either.
-func (s *Scheduler) AppendSnapshot(dst []byte) ([]byte, error) {
+// checkpoint flattens the scheduler's state into the image both encodings
+// carry: Snapshot renders it as JSON, AppendState as the binary image.
+func (s *Scheduler) checkpoint() (*checkpoint, error) {
 	tcp, err := s.inner.tracker.Checkpoint()
 	if err != nil {
-		return dst, fmt.Errorf("stream: snapshot: %w", err)
+		return nil, fmt.Errorf("stream: snapshot: %w", err)
 	}
-	cp := checkpoint{
+	cp := &checkpoint{
 		Version:      checkpointVersion,
 		Delta:        s.cfg.Delta,
 		Resources:    s.cfg.Resources,
@@ -182,13 +185,7 @@ func (s *Scheduler) AppendSnapshot(dst []byte) ([]byte, error) {
 	}
 	sort.Slice(cp.Inner.ColorLocs, func(i, j int) bool { return cp.Inner.ColorLocs[i].Color < cp.Inner.ColorLocs[j].Color })
 
-	buf := bytes.NewBuffer(dst)
-	if err := json.NewEncoder(buf).Encode(cp); err != nil {
-		return dst, fmt.Errorf("stream: snapshot: %w", err)
-	}
-	// Encode terminates the value with a newline; the image ends at the value.
-	out := buf.Bytes()
-	return out[:len(out)-1], nil
+	return cp, nil
 }
 
 // Restore rebuilds a scheduler from a Snapshot. The checkpoint is validated
@@ -199,8 +196,20 @@ func Restore(data []byte) (*Scheduler, error) {
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil, fmt.Errorf("stream: decoding checkpoint: %w", err)
 	}
+	return restoreCheckpoint(&cp)
+}
+
+// restoreCheckpoint validates a decoded image field by field and rebuilds the
+// scheduler it describes. Restore and RestoreState both end here, so the JSON
+// and binary images are refused for exactly the same reasons.
+func restoreCheckpoint(cp *checkpoint) (*Scheduler, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("stream: checkpoint version %d, want %d", cp.Version, checkpointVersion)
+	}
+	// New allocates per resource: bound the claimed count by the locations
+	// the image actually lists before trusting it.
+	if cp.Resources > len(cp.LocColor) {
+		return nil, fmt.Errorf("stream: checkpoint has %d outer locations, want %d", len(cp.LocColor), cp.Resources)
 	}
 	s, err := New(Config{Delta: cp.Delta, Resources: cp.Resources})
 	if err != nil {
@@ -265,10 +274,17 @@ func Restore(data []byte) (*Scheduler, error) {
 	st.toOuter = append([]model.Color(nil), cp.Inner.ToOuter...)
 	copy(st.locColor, cp.Inner.LocColor)
 	st.freeLocs = append(st.freeLocs[:0], cp.Inner.FreeLocs...)
+	// Each inner color is keyed exactly once: with the count check below,
+	// that makes the table a bijection onto [0, len(toOuter)).
+	keyed := make([]bool, len(st.toOuter))
 	for _, sc := range cp.Inner.Subcolors {
 		if sc.Inner < 0 || int(sc.Inner) >= len(st.toOuter) {
 			return nil, fmt.Errorf("stream: checkpoint subcolor %v out of range", sc.Inner)
 		}
+		if keyed[sc.Inner] {
+			return nil, fmt.Errorf("stream: checkpoint repeats inner subcolor %v", sc.Inner)
+		}
+		keyed[sc.Inner] = true
 		if st.toOuter[sc.Inner] != sc.Outer {
 			return nil, fmt.Errorf("stream: checkpoint subcolor %v maps to outer %v, table says %v",
 				sc.Inner, sc.Outer, st.toOuter[sc.Inner])

@@ -65,23 +65,23 @@ func TestSnapshotRestoreDecisionIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The compact image is a second restore input: Snapshot must be
-		// its indented view, and both must resume identically.
-		compact, err := a.AppendSnapshot(nil)
+		// The binary image is a second restore input: it must carry what
+		// Snapshot does, and both must resume identically.
+		state, err := a.AppendState(nil)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(indentJSON(t, compact), snap) {
-			t.Fatalf("kill at %d: Snapshot is not the indented compact image", killAt)
 		}
 		a = nil
 		b, err := Restore(snap)
 		if err != nil {
 			t.Fatalf("kill at %d: restore: %v", killAt, err)
 		}
-		c, err := Restore(compact)
+		c, err := RestoreState(state)
 		if err != nil {
-			t.Fatalf("kill at %d: restore compact: %v", killAt, err)
+			t.Fatalf("kill at %d: restore binary image: %v", killAt, err)
+		}
+		if cSnap, err := c.Snapshot(); err != nil || !bytes.Equal(cSnap, snap) {
+			t.Fatalf("kill at %d: the binary image restores to another state (%v)", killAt, err)
 		}
 		compactDecs := append([]Decision(nil), decs...)
 		for r := killAt + 1; r <= horizon; r++ {
@@ -91,7 +91,7 @@ func TestSnapshotRestoreDecisionIdentical(t *testing.T) {
 			}
 			decs = append(decs, dec)
 			if dec, err = c.Push(r, seq.Request(r)); err != nil {
-				t.Fatalf("kill at %d: compact push round %d: %v", killAt, r, err)
+				t.Fatalf("kill at %d: binary-image push round %d: %v", killAt, r, err)
 			}
 			compactDecs = append(compactDecs, dec)
 		}
@@ -100,7 +100,7 @@ func TestSnapshotRestoreDecisionIdentical(t *testing.T) {
 			t.Fatalf("kill at %d: resumed decision trace differs from uninterrupted run", killAt)
 		}
 		if !bytes.Equal(decisionBytes(t, decs), decisionBytes(t, compactDecs)) {
-			t.Fatalf("kill at %d: resuming the compact image differs from resuming Snapshot", killAt)
+			t.Fatalf("kill at %d: resuming the binary image differs from resuming Snapshot", killAt)
 		}
 		if ref.Cost() != b.Cost() {
 			t.Fatalf("kill at %d: resumed cost %v != uninterrupted %v", killAt, ref.Cost(), b.Cost())
@@ -125,55 +125,47 @@ func TestSnapshotRestoreDecisionIdentical(t *testing.T) {
 	}
 }
 
-func indentJSON(t *testing.T, compact []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, compact, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestAfterBurstFixtureCompactImage: a scheduler restored from the indented
-// after-burst fixture re-encodes to a compact image without whitespace whose
-// indented form is the fixture itself, AppendSnapshot really appends, and
-// restoring the compact image or Snapshot continues into the recorded
-// decisions alike.
-func TestAfterBurstFixtureCompactImage(t *testing.T) {
+// TestAfterBurstFixtureStateImage: a scheduler restored from the indented
+// after-burst fixture encodes to testdata/after-burst.state.bin byte for
+// byte, AppendState really appends, the binary fixture restores to the JSON
+// fixture's state, and restoring either continues into the recorded
+// decisions alike. The binary fixture pins the state image format: chunk
+// payloads embed it, so moving its bytes moves every chunk ID.
+func TestAfterBurstFixtureStateImage(t *testing.T) {
 	fixture := readFixture(t, "after-burst.snapshot.json")
 	s, err := Restore(fixture)
 	if err != nil {
 		t.Fatalf("restoring fixture: %v", err)
 	}
-	compact, err := s.AppendSnapshot(nil)
+	state, err := s.AppendState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if i := bytes.IndexAny(compact, " \n"); i >= 0 {
-		t.Fatalf("compact image has whitespace at byte %d of %d", i, len(compact))
+	if want := readFixture(t, "after-burst.state.bin"); !bytes.Equal(state, want) {
+		t.Fatalf("state image differs from the binary fixture (%d bytes vs %d)", len(state), len(want))
 	}
-	if !bytes.Equal(indentJSON(t, compact), fixture) {
-		t.Fatal("indented compact image differs from the fixture")
-	}
-	snap, err := s.Snapshot()
+	prefixed, err := s.AppendState([]byte("image:"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(snap, fixture) {
-		t.Fatal("Snapshot of the restored fixture differs from the fixture")
+	if !bytes.Equal(prefixed, append([]byte("image:"), state...)) {
+		t.Fatal("AppendState does not append the image to dst")
 	}
-	prefixed, err := s.AppendSnapshot([]byte("image:"))
+	fromState, err := RestoreState(state)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restoring the binary fixture: %v", err)
 	}
-	if !bytes.Equal(prefixed, append([]byte("image:"), compact...)) {
-		t.Fatal("AppendSnapshot does not append the image to dst")
+	if snap, err := fromState.Snapshot(); err != nil || !bytes.Equal(snap, fixture) {
+		t.Fatalf("Snapshot of the restored binary fixture differs from the JSON fixture (%v)", err)
 	}
 
 	want := readFixture(t, "after-burst.decisions.json")
 	pushes := fixturePushes()
-	for name, image := range map[string][]byte{"compact": compact, "Snapshot": snap} {
-		r, err := Restore(image)
+	for name, restore := range map[string]func() (*Scheduler, error){
+		"binary": func() (*Scheduler, error) { return RestoreState(state) },
+		"JSON":   func() (*Scheduler, error) { return Restore(fixture) },
+	} {
+		r, err := restore()
 		if err != nil {
 			t.Fatalf("restoring the %s image: %v", name, err)
 		}
@@ -192,6 +184,33 @@ func TestAfterBurstFixtureCompactImage(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("decisions after restoring the %s image differ from the recorded ones", name)
 		}
+	}
+}
+
+// stateOf converts a JSON image, doctored or not, into the binary image of
+// the same fields without validating it, so a refusal test can put one
+// corruption to both decoders. ok is false when the bytes are not JSON.
+func stateOf(data []byte) (state []byte, ok bool) {
+	var cp checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return nil, false
+	}
+	return appendCheckpoint(nil, &cp), true
+}
+
+// requireSameRefusal: the binary form of a doctored image must be refused by
+// RestoreState with exactly Restore's error, since both end in one
+// validation.
+func requireSameRefusal(t *testing.T, name string, data []byte) {
+	t.Helper()
+	state, ok := stateOf(data)
+	if !ok {
+		return
+	}
+	_, jerr := Restore(data)
+	_, berr := RestoreState(state)
+	if jerr == nil || berr == nil || jerr.Error() != berr.Error() {
+		t.Errorf("%s: RestoreState = %v, Restore = %v; want the same refusal", name, berr, jerr)
 	}
 }
 
@@ -351,6 +370,21 @@ func TestRestoreRejectsCorruptCheckpoints(t *testing.T) {
 		if _, err := Restore(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Restore = %v, want mention of %q", c.name, err, c.want)
 		}
+		requireSameRefusal(t, c.name, c.data)
+	}
+	// The parse-level cases have no JSON fields to carry over; their binary
+	// analogs are a cut-short image and bytes that are not an image at all.
+	state, err := s.AppendState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"truncated": state[:len(state)/2],
+		"not state": []byte("ceci n'est pas un checkpoint"),
+	} {
+		if _, err := RestoreState(data); err == nil || !strings.Contains(err.Error(), "decoding checkpoint") {
+			t.Errorf("%s: RestoreState = %v, want mention of %q", name, err, "decoding checkpoint")
+		}
 	}
 }
 
@@ -413,11 +447,21 @@ func TestRestoreRejectsUnknownInnerColors(t *testing.T) {
 		{"pending color", corrupt(func(in map[string]any) { in["pending"] = []any{pending(5)} }), "unknown inner color"},
 		{"repeated pending", corrupt(func(in map[string]any) { in["pending"] = []any{pending(0), pending(0)} }), "repeats inner pending"},
 		{"location color", corrupt(func(in map[string]any) { in["loc_color"] = []any{7.0, -1.0, -1.0, -1.0} }), "unknown inner color"},
+		// Two keys on inner color 0 and none on 1 passes the count check;
+		// restored, such a table snapshots nondeterministically.
+		{"repeated subcolor", corrupt(func(in map[string]any) {
+			in["to_outer"] = []any{0.0, 0.0}
+			in["subcolors"] = []any{
+				map[string]any{"outer": 0.0, "bucket": 0.0, "inner": 0.0},
+				map[string]any{"outer": 0.0, "bucket": 5.0, "inner": 0.0},
+			}
+		}), "repeats inner subcolor"},
 	}
 	for _, c := range cases {
 		if _, err := Restore(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Restore = %v, want mention of %q", c.name, err, c.want)
 		}
+		requireSameRefusal(t, c.name, c.data)
 	}
 }
 
@@ -517,6 +561,7 @@ func TestRestoreRejectsMalformedCachedColors(t *testing.T) {
 		{"negative color", corrupt([]any{cached(-1, 0, 1), cached(1, 2, 3)}), "unknown inner color"},
 	}
 	for _, c := range cases {
+		requireSameRefusal(t, c.name, c.data)
 		restored, err := Restore(c.data)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Restore = %v, want mention of %q", c.name, err, c.want)

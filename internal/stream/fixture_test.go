@@ -69,7 +69,7 @@ func fixturePushes() [][]model.Job {
 
 func fixtureConfig() Config { return Config{Delta: 4, Resources: 8} }
 
-func readFixture(t *testing.T, name string) []byte {
+func readFixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {

@@ -118,24 +118,29 @@ func checkSkipAgainstStepping(t testing.TB, data []byte, maxOps int) int {
 
 func snapshot(t testing.TB, s *Scheduler) []byte {
 	t.Helper()
-	b, err := s.AppendSnapshot(nil)
+	b, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// restoreBoth restores each scheduler from its binary state image, the form
+// the serve tier pages tenants through.
 func restoreBoth(t testing.TB, a, ref *Scheduler) (*Scheduler, *Scheduler) {
 	t.Helper()
-	ra, err := Restore(snapshot(t, a))
-	if err != nil {
-		t.Fatal(err)
+	restore := func(s *Scheduler) *Scheduler {
+		state, err := s.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RestoreState(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	rr, err := Restore(snapshot(t, ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ra, rr
+	return restore(a), restore(ref)
 }
 
 // TestSettledSkipMatchesStepping is the differential check of the settled

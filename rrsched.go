@@ -171,7 +171,9 @@ func NewStream(delta int64, resources int) (*Stream, error) {
 }
 
 // RestoreStream rebuilds a Stream from a checkpoint taken with its Snapshot
-// (indented) or AppendSnapshot (compact) method. The resumed scheduler's
+// method: the scheduler's complete state as versioned, human-readable JSON.
+// (The serving stack exchanges the same state as a compact binary image,
+// AppendState, which this function does not read.) The resumed scheduler's
 // decisions are identical to those the original would have produced had it
 // never been interrupted:
 //
